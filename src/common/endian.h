@@ -3,6 +3,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -50,9 +51,11 @@ inline void StoreLe64(uint8_t* p, uint64_t v) {
   StoreLe32(p + 4, uint32_t(v >> 32));
 }
 
-inline uint32_t RotL32(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
-inline uint32_t RotR32(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-inline uint64_t RotL64(uint64_t x, int n) { return (x << n) | (x >> (64 - n)); }
-inline uint64_t RotR64(uint64_t x, int n) { return (x >> n) | (x << (64 - n)); }
+// std::rot* are defined for every count, including 0 (Keccak's rho step
+// rotates lane 0 by 0), where the shift-pair idiom shifts by the width.
+inline uint32_t RotL32(uint32_t x, int n) { return std::rotl(x, n); }
+inline uint32_t RotR32(uint32_t x, int n) { return std::rotr(x, n); }
+inline uint64_t RotL64(uint64_t x, int n) { return std::rotl(x, n); }
+inline uint64_t RotR64(uint64_t x, int n) { return std::rotr(x, n); }
 
 }  // namespace confide

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace confide::crypto {
 
 namespace {
@@ -108,9 +112,109 @@ void AddRoundKey(uint8_t s[16], const uint8_t* rk) {
   for (int i = 0; i < 16; ++i) s[i] ^= rk[i];
 }
 
+#if defined(__x86_64__)
+#define CONFIDE_AESNI __attribute__((target("aes,sse4.1,ssse3")))
+
+// One step of the AES-128 schedule: the previous round key with its words
+// prefix-XORed, XOR the broadcast SubWord(RotWord(w3)) ^ rcon.
+CONFIDE_AESNI inline __m128i Expand128(__m128i key, __m128i assist) {
+  assist = _mm_shuffle_epi32(assist, 0xff);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+CONFIDE_AESNI void ExpandKey128Ni(const uint8_t key[16], uint8_t* out) {
+  __m128i rk[11];
+  rk[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  rk[1] = Expand128(rk[0], _mm_aeskeygenassist_si128(rk[0], 0x01));
+  rk[2] = Expand128(rk[1], _mm_aeskeygenassist_si128(rk[1], 0x02));
+  rk[3] = Expand128(rk[2], _mm_aeskeygenassist_si128(rk[2], 0x04));
+  rk[4] = Expand128(rk[3], _mm_aeskeygenassist_si128(rk[3], 0x08));
+  rk[5] = Expand128(rk[4], _mm_aeskeygenassist_si128(rk[4], 0x10));
+  rk[6] = Expand128(rk[5], _mm_aeskeygenassist_si128(rk[5], 0x20));
+  rk[7] = Expand128(rk[6], _mm_aeskeygenassist_si128(rk[6], 0x40));
+  rk[8] = Expand128(rk[7], _mm_aeskeygenassist_si128(rk[7], 0x80));
+  rk[9] = Expand128(rk[8], _mm_aeskeygenassist_si128(rk[8], 0x1b));
+  rk[10] = Expand128(rk[9], _mm_aeskeygenassist_si128(rk[9], 0x36));
+  for (int i = 0; i < 11; ++i) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i), rk[i]);
+  }
+}
+
+// AES-256 alternates two step kinds: even round keys take
+// SubWord(RotWord(w7)) ^ rcon (lane 3 of the assist), odd ones SubWord(w3)
+// (lane 2, no rcon).
+CONFIDE_AESNI inline __m128i Expand256Odd(__m128i key, __m128i assist) {
+  assist = _mm_shuffle_epi32(assist, 0xaa);
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+CONFIDE_AESNI void ExpandKey256Ni(const uint8_t key[32], uint8_t* out) {
+  __m128i rk[15];
+  rk[0] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key));
+  rk[1] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(key + 16));
+#define CONFIDE_AES256_EVEN(i, rcon) \
+  rk[i] = Expand128(rk[i - 2], _mm_aeskeygenassist_si128(rk[i - 1], rcon))
+#define CONFIDE_AES256_ODD(i) \
+  rk[i] = Expand256Odd(rk[i - 2], _mm_aeskeygenassist_si128(rk[i - 1], 0))
+  CONFIDE_AES256_EVEN(2, 0x01);
+  CONFIDE_AES256_ODD(3);
+  CONFIDE_AES256_EVEN(4, 0x02);
+  CONFIDE_AES256_ODD(5);
+  CONFIDE_AES256_EVEN(6, 0x04);
+  CONFIDE_AES256_ODD(7);
+  CONFIDE_AES256_EVEN(8, 0x08);
+  CONFIDE_AES256_ODD(9);
+  CONFIDE_AES256_EVEN(10, 0x10);
+  CONFIDE_AES256_ODD(11);
+  CONFIDE_AES256_EVEN(12, 0x20);
+  CONFIDE_AES256_ODD(13);
+  CONFIDE_AES256_EVEN(14, 0x40);
+#undef CONFIDE_AES256_EVEN
+#undef CONFIDE_AES256_ODD
+  for (int i = 0; i < 15; ++i) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i), rk[i]);
+  }
+}
+
+CONFIDE_AESNI void EncryptBlockNi(const uint8_t* rk, int rounds,
+                                  const uint8_t in[16], uint8_t out[16]) {
+  auto key = [rk](int r) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk + 16 * r));
+  };
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)), key(0));
+  for (int r = 1; r < rounds; ++r) s = _mm_aesenc_si128(s, key(r));
+  s = _mm_aesenclast_si128(s, key(rounds));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+
+// Equivalent inverse cipher: the middle round keys go through
+// InvMixColumns (aesimc) so aesdec can apply them directly.
+CONFIDE_AESNI void DecryptBlockNi(const uint8_t* rk, int rounds,
+                                  const uint8_t in[16], uint8_t out[16]) {
+  auto key = [rk](int r) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk + 16 * r));
+  };
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in)), key(rounds));
+  for (int r = rounds - 1; r >= 1; --r) {
+    s = _mm_aesdec_si128(s, _mm_aesimc_si128(key(r)));
+  }
+  s = _mm_aesdeclast_si128(s, key(0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), s);
+}
+#undef CONFIDE_AESNI
+#endif
+
 }  // namespace
 
-Result<Aes> Aes::Create(ByteView key) {
+Result<Aes> Aes::Create(ByteView key, CryptoImpl impl) {
   int nk;  // key length in 32-bit words
   switch (key.size()) {
     case 16: nk = 4; break;
@@ -121,6 +225,19 @@ Result<Aes> Aes::Create(ByteView key) {
   }
   Aes aes;
   aes.rounds_ = nk + 6;
+  aes.impl_ = impl == CryptoImpl::kAccelerated && DetectedCpu().aes_ni
+                  ? CryptoImpl::kAccelerated
+                  : CryptoImpl::kPortable;
+#if defined(__x86_64__)
+  if (aes.impl_ == CryptoImpl::kAccelerated && nk != 6) {
+    if (nk == 4) {
+      ExpandKey128Ni(key.data(), aes.round_keys_.data());
+    } else {
+      ExpandKey256Ni(key.data(), aes.round_keys_.data());
+    }
+    return aes;
+  }
+#endif
   const int total_words = 4 * (aes.rounds_ + 1);
 
   uint8_t* w = aes.round_keys_.data();
@@ -150,6 +267,12 @@ Result<Aes> Aes::Create(ByteView key) {
 }
 
 void Aes::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+#if defined(__x86_64__)
+  if (impl_ == CryptoImpl::kAccelerated) {
+    EncryptBlockNi(round_keys_.data(), rounds_, in, out);
+    return;
+  }
+#endif
   uint8_t s[16];
   std::memcpy(s, in, 16);
   AddRoundKey(s, round_keys_.data());
@@ -166,6 +289,12 @@ void Aes::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
 }
 
 void Aes::DecryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+#if defined(__x86_64__)
+  if (impl_ == CryptoImpl::kAccelerated) {
+    DecryptBlockNi(round_keys_.data(), rounds_, in, out);
+    return;
+  }
+#endif
   uint8_t s[16];
   std::memcpy(s, in, 16);
   AddRoundKey(s, round_keys_.data() + 16 * rounds_);

@@ -3,11 +3,24 @@
 ///
 /// Provides ECDSA (transaction signatures, attestation report signatures)
 /// and ECDH (T-Protocol envelope key agreement, K-Protocol MAP channels).
-/// Field/scalar arithmetic uses 4x64-bit limbs with special-form reduction
-/// for p = 2^256 - 2^32 - 977; points use Jacobian coordinates.
+/// Field and scalar arithmetic use branch-free 4x64-bit limbs with
+/// special-form reduction for p = 2^256 - 2^32 - 977; points use Jacobian
+/// coordinates with mixed Jacobian-affine additions.
 ///
-/// This is a correctness-first portable implementation (not constant-time
-/// hardened — the host is a simulator, not production silicon).
+/// - Sign, key generation and DerivePublicKey multiply G through a
+///   precomputed table of signed 4-bit windows (65 x 8 affine points,
+///   built once per process), reading every entry of a window's row with
+///   masks so the memory trace does not depend on the secret scalar.
+/// - ECDH splits the secret scalar with the curve's endomorphism
+///   (k = k1 + k2*lambda, both halves ~128 bits) and runs a fixed-window
+///   ladder over 1..8 x Q and lambda x Q with the same masked lookups.
+/// - Verify, which sees public data only, splits u1 and u2 the same way
+///   and computes u1*G + u2*Q in one interleaved wNAF (w = 5) pass over
+///   G, lambda G, Q and lambda Q, comparing r*Z^2 against X instead of
+///   inverting Z.
+///
+/// `portable::` keeps the previous double-and-add implementation as the
+/// oracle for differential tests; both produce identical outputs.
 
 #pragma once
 
@@ -63,5 +76,15 @@ Result<Hash256> EcdhSharedSecret(const PrivateKey& priv, const PublicKey& pub);
 /// \brief 20-byte address derived Ethereum-style: last 20 bytes of
 /// Keccak-256(pubkey).
 std::array<uint8_t, 20> PublicKeyToAddress(const PublicKey& pub);
+
+/// \brief The double-and-add implementation the fast path replaced, kept
+/// as the differential oracle (tests, bench_micro_crypto). Same contracts
+/// and outputs as the functions above; it does not count metrics.
+namespace portable {
+Result<PublicKey> DerivePublicKey(const PrivateKey& priv);
+Result<Signature> EcdsaSign(const PrivateKey& priv, const Hash256& digest);
+bool EcdsaVerify(const PublicKey& pub, const Hash256& digest, const Signature& sig);
+Result<Hash256> EcdhSharedSecret(const PrivateKey& priv, const PublicKey& pub);
+}  // namespace portable
 
 }  // namespace confide::crypto

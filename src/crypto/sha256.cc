@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "common/endian.h"
 #include "common/metrics.h"
 
@@ -23,16 +27,7 @@ constexpr uint32_t kK[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
-}  // namespace
-
-void Sha256::Reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  total_len_ = 0;
-  buf_len_ = 0;
-}
-
-void Sha256::Compress(const uint8_t block[64]) {
+void CompressPortable(uint32_t state[8], const uint8_t block[64]) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = LoadBe32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -41,8 +36,8 @@ void Sha256::Compress(const uint8_t block[64]) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = RotR32(e, 6) ^ RotR32(e, 11) ^ RotR32(e, 25);
@@ -55,11 +50,89 @@ void Sha256::Compress(const uint8_t block[64]) {
     d = c; c = b; b = a; a = t1 + t2;
   }
 
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
+  state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+  state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+}
+
+#if defined(__x86_64__)
+// SHA-NI compression. The state lives in two registers as ABEF / CDGH
+// (the layout sha256rnds2 works on); each loop step runs four rounds and,
+// from the fifth group on, derives the next four schedule words from the
+// previous sixteen with sha256msg1/msg2.
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t* blocks, size_t count) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i state1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);                  // CDAB
+  state1 = _mm_shuffle_epi32(state1, 0x1B);            // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);    // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xF0);         // CDGH
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i m[4];
+    for (int i = 0; i < 4; ++i) {
+      m[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          kByteSwap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g >= 4) {
+        // W[4g..4g+3] from W[4g-16..4g-1]: m[g%4] holds the oldest group.
+        __m128i x = _mm_sha256msg1_epu32(m[g % 4], m[(g + 1) % 4]);
+        x = _mm_add_epi32(x, _mm_alignr_epi8(m[(g + 3) % 4], m[(g + 2) % 4], 4));
+        m[g % 4] = _mm_sha256msg2_epu32(x, m[(g + 3) % 4]);
+      }
+      __m128i wk = _mm_add_epi32(
+          m[g % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, wk);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+  }
+
+  tmp = _mm_shuffle_epi32(state0, 0x1B);               // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xB1);            // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xF0);         // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);            // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), state0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), state1);
+}
+#endif
+
+}  // namespace
+
+Sha256::Sha256(CryptoImpl impl)
+    : impl_(impl == CryptoImpl::kAccelerated && DetectedCpu().sha_ni
+                ? CryptoImpl::kAccelerated
+                : CryptoImpl::kPortable) {
+  Reset();
+}
+
+void Sha256::Reset() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  total_len_ = 0;
+  buf_len_ = 0;
+}
+
+void Sha256::Compress(const uint8_t* blocks, size_t count) {
+#if defined(__x86_64__)
+  if (impl_ == CryptoImpl::kAccelerated) {
+    CompressShaNi(state_.data(), blocks, count);
+    return;
+  }
+#endif
+  for (size_t i = 0; i < count; ++i) CompressPortable(state_.data(), blocks + 64 * i);
 }
 
 void Sha256::Update(ByteView data) {
+  if (data.empty()) return;  // an empty view may carry a null pointer
   total_len_ += data.size();
   size_t pos = 0;
   if (buf_len_ > 0) {
@@ -68,13 +141,13 @@ void Sha256::Update(ByteView data) {
     buf_len_ += take;
     pos = take;
     if (buf_len_ == 64) {
-      Compress(buf_);
+      Compress(buf_, 1);
       buf_len_ = 0;
     }
   }
-  while (pos + 64 <= data.size()) {
-    Compress(data.data() + pos);
-    pos += 64;
+  if (size_t blocks = (data.size() - pos) / 64; blocks > 0) {
+    Compress(data.data() + pos, blocks);
+    pos += 64 * blocks;
   }
   if (pos < data.size()) {
     std::memcpy(buf_, data.data() + pos, data.size() - pos);

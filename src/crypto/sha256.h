@@ -10,16 +10,22 @@
 #include <cstdint>
 
 #include "common/bytes.h"
+#include "crypto/cpu.h"
 
 namespace confide::crypto {
 
 /// \brief 32-byte digest type.
 using Hash256 = std::array<uint8_t, 32>;
 
-/// \brief Incremental SHA-256 context.
+/// \brief Incremental SHA-256 context. Compression runs on SHA-NI when
+/// the CPU has it (cpu.h); the portable compression is the fallback.
 class Sha256 {
  public:
-  Sha256() { Reset(); }
+  Sha256() : Sha256(DefaultShaImpl()) {}
+
+  /// \brief Pins the implementation (differential tests and benches).
+  /// kAccelerated on a CPU without SHA-NI runs the portable code.
+  explicit Sha256(CryptoImpl impl);
 
   /// \brief Resets to the initial state.
   void Reset();
@@ -34,9 +40,12 @@ class Sha256 {
   /// \brief One-shot convenience.
   static Hash256 Digest(ByteView data);
 
- private:
-  void Compress(const uint8_t block[64]);
+  CryptoImpl impl() const { return impl_; }
 
+ private:
+  void Compress(const uint8_t* blocks, size_t count);
+
+  CryptoImpl impl_;
   std::array<uint32_t, 8> state_;
   uint64_t total_len_ = 0;
   uint8_t buf_[64];

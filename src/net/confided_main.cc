@@ -53,6 +53,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (Status st = cfg->PrepareStateDir(); !st.ok()) {
+    std::fprintf(stderr, "confided: %s\n", st.ToString().c_str());
+    return 1;
+  }
+
   core::SystemOptions sys_options;
   sys_options.seed = cfg->seed;
   sys_options.block_max_bytes = cfg->block_max_bytes;

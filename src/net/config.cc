@@ -1,7 +1,9 @@
 #include "net/config.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <system_error>
 
 #include "net/tcp_transport.h"
 
@@ -125,6 +127,17 @@ Result<GatewayConfig> GatewayConfig::FromArgs(int argc, char** argv) {
     CONFIDE_RETURN_NOT_OK(SplitHostPort(node).status());
   }
   return cfg;
+}
+
+Status NodeConfig::PrepareStateDir() const {
+  if (state_dir.empty()) return Status::OK();
+  std::error_code ec;
+  std::filesystem::create_directories(state_dir, ec);
+  if (ec || !std::filesystem::is_directory(state_dir)) {
+    return Status::Internal("cannot create state dir " + state_dir +
+                           (ec ? ": " + ec.message() : ""));
+  }
+  return Status::OK();
 }
 
 }  // namespace confide::net

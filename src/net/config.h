@@ -30,7 +30,8 @@ namespace confide::net {
 ///                         provisioning, see system.h)
 ///   --block-max-bytes=B   (CONFIDED_BLOCK_MAX_BYTES)
 ///   --parallelism=P       (CONFIDED_PARALLELISM)  pre-verify threads
-///   --state-dir=D         (CONFIDED_STATE_DIR)    WAL dir; empty = volatile
+///   --state-dir=D         (CONFIDED_STATE_DIR)    WAL dir, created with its
+///                         parents when missing; empty = volatile
 ///   --tick-ms=T           (CONFIDED_TICK_MS)      leader propose cadence
 ///   --heartbeat-ms=T      (CONFIDED_HEARTBEAT_MS) leader heartbeat cadence;
 ///                         0 disables failover (static leader)
@@ -51,6 +52,10 @@ struct NodeConfig {
   std::string metrics_out;
 
   static Result<NodeConfig> FromArgs(int argc, char** argv);
+
+  /// \brief Creates `state_dir` (and its parents) when it is set and
+  /// missing, so the WAL and tables can be opened in it.
+  Status PrepareStateDir() const;
 };
 
 /// \brief `confide_gateway` process configuration.

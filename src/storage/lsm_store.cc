@@ -463,10 +463,15 @@ void LsmKvStore::MaybeScheduleCompactionLocked() {
 void LsmKvStore::CompactWithRetries(std::unique_lock<std::mutex>* lock) {
   // Compaction is maintenance: an attempt that trips a fault site is
   // retried, and when a later attempt succeeds the site is recorded as
-  // recovered. An exhausted budget (or a genuine IO error) just leaves
-  // the runs for the next flush to re-trigger — it never fails a write.
+  // recovered. On the pool the merge runs unlocked, so flushes can land
+  // meanwhile and leave the store over max_runs again: keep merging while
+  // it is (every success shrinks the pinned prefix to one run). Failures
+  // share one budget of 4; an exhausted budget (or a genuine IO error)
+  // just leaves the runs for the next flush to re-trigger — it never
+  // fails a write.
   std::vector<std::string> tripped;
-  for (int attempt = 0; attempt < 4; ++attempt) {
+  int failures = 0;
+  while (runs_.size() > options_.max_runs && failures < 4) {
     std::string site;
     Status status = CompactOnce(lock, &site);
     if (status.ok()) {
@@ -475,10 +480,12 @@ void LsmKvStore::CompactWithRetries(std::unique_lock<std::mutex>* lock) {
       for (const std::string& recovered : tripped) {
         fault::NoteRecovered(recovered);
       }
-      return;
+      tripped.clear();
+      continue;
     }
     if (site.empty()) return;  // real IO error: defer to the next trigger
     tripped.push_back(site);
+    ++failures;
   }
 }
 
@@ -503,6 +510,7 @@ Status LsmKvStore::CompactOnce(std::unique_lock<std::mutex>* lock,
   std::vector<RunEntry> entries;
   BloomFilter bloom;
   Status status = [&]() -> Status {
+    if (options_.compaction_merge_hook) options_.compaction_merge_hook();
     if (trip("fault.storage.compaction.merge")) {
       return Status::Unavailable("lsm: injected compaction merge failure");
     }

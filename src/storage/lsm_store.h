@@ -19,6 +19,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <optional>
@@ -54,6 +55,9 @@ struct LsmOptions {
   /// outlive the store (or the store must be destroyed first — it joins
   /// its inflight task on destruction).
   ThreadPool* compaction_pool = nullptr;
+  /// Test seam: runs at the start of every merge, after the inputs are
+  /// pinned (and, on the pool, with the store lock released).
+  std::function<void()> compaction_merge_hook;
 };
 
 /// \brief Immutable sorted run produced by a memtable flush or a

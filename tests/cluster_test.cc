@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "confide/system.h"
 #include "lang/compiler.h"
 #include "net/cluster.h"
+#include "net/config.h"
 #include "net/frame_client.h"
 #include "net/gateway.h"
 #include "net/http.h"
@@ -108,6 +110,24 @@ uint16_t PickPort() {
   uint16_t port = ntohs(addr.sin_port);
   ::close(fd);
   return port;
+}
+
+TEST(StateDirTest, NodeBootsOnAMissingStateDir) {
+  // confided --state-dir=D with D absent: the config creates D before the
+  // system opens its WAL there (it used to fail "wal: cannot open").
+  const auto root = std::filesystem::temp_directory_path() / "confide_missing_state";
+  std::filesystem::remove_all(root);
+  NodeConfig cfg;
+  cfg.state_dir = (root / "node0").string();
+  ASSERT_TRUE(cfg.PrepareStateDir().ok());
+  SystemOptions options;
+  options.seed = kClusterSeed;
+  options.state_wal_dir = cfg.state_dir;
+  auto sys = ConfideSystem::BootstrapFirst(options);
+  ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+  EXPECT_TRUE(std::filesystem::exists(root / "node0" / "confide.wal"));
+  sys->reset();
+  std::filesystem::remove_all(root);
 }
 
 TEST(ClusterQuorumTest, TwoFPlusOne) {

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/bytes.h"
+#include "common/metrics.h"
 #include "crypto/aes.h"
+#include "crypto/cpu.h"
 #include "crypto/drbg.h"
 #include "crypto/gcm.h"
 #include "crypto/hmac.h"
@@ -452,6 +457,328 @@ TEST(Secp256k1Test, AddressIsLast20BytesOfKeccak) {
   auto addr = PublicKeyToAddress(kp.pub);
   Hash256 h = Keccak256::Digest(ByteView(kp.pub.data(), kp.pub.size()));
   EXPECT_EQ(0, std::memcmp(addr.data(), h.data() + 12, 20));
+}
+
+// ---------------------------------------------------------------------------
+// Differential: portable vs accelerated paths on Drbg-seeded random inputs
+// ---------------------------------------------------------------------------
+
+constexpr int kDiffIters = 10000;  // random inputs per primitive
+
+#define SKIP_WITHOUT(feature, name)                                           \
+  if (!DetectedCpu().feature) {                                               \
+    GTEST_SKIP() << "this CPU lacks " name                                    \
+                 << "; only the portable path can run, nothing to compare";   \
+  }
+
+TEST(CryptoDifferentialTest, AesBlocksMatch) {
+  SKIP_WITHOUT(aes_ni, "AES-NI/PCLMULQDQ")
+  Drbg rng(9001);
+  for (int iter = 0; iter < kDiffIters; ++iter) {
+    const size_t key_sizes[] = {16, 24, 32};
+    Bytes key = rng.Generate(key_sizes[rng.NextBounded(3)]);
+    auto portable = Aes::Create(key, CryptoImpl::kPortable);
+    auto fast = Aes::Create(key, CryptoImpl::kAccelerated);
+    ASSERT_TRUE(portable.ok() && fast.ok());
+    ASSERT_EQ(fast->impl(), CryptoImpl::kAccelerated);
+    Bytes block = rng.Generate(16);
+    uint8_t a[16], b[16], back[16];
+    portable->EncryptBlock(block.data(), a);
+    fast->EncryptBlock(block.data(), b);
+    ASSERT_EQ(0, std::memcmp(a, b, 16)) << "iter " << iter;
+    portable->DecryptBlock(block.data(), a);
+    fast->DecryptBlock(block.data(), b);
+    ASSERT_EQ(0, std::memcmp(a, b, 16)) << "iter " << iter;
+    fast->DecryptBlock(a, back);  // a = D(block), so E(a) = block
+    fast->EncryptBlock(a, back);
+    ASSERT_EQ(0, std::memcmp(back, block.data(), 16)) << "iter " << iter;
+  }
+}
+
+TEST(CryptoDifferentialTest, GcmSealAndOpenMatch) {
+  SKIP_WITHOUT(aes_ni, "AES-NI/PCLMULQDQ")
+  Drbg rng(9002);
+  for (int iter = 0; iter < kDiffIters; ++iter) {
+    Bytes key = rng.Generate(rng.NextBounded(2) == 0 ? 16 : 32);
+    // Mostly the 12-byte fast path; otherwise a GHASH-derived J0.
+    const size_t iv_len = rng.NextBounded(4) != 0 ? 12 : 1 + rng.NextBounded(40);
+    Bytes iv = rng.Generate(iv_len);
+    Bytes plain = rng.Generate(rng.NextBounded(301));
+    Bytes aad = rng.Generate(rng.NextBounded(301));
+    auto portable = AesGcm::Create(key, CryptoImpl::kPortable);
+    auto fast = AesGcm::Create(key, CryptoImpl::kAccelerated);
+    ASSERT_TRUE(portable.ok() && fast.ok());
+    ASSERT_EQ(fast->impl(), CryptoImpl::kAccelerated);
+    auto a = portable->Seal(iv, plain, aad);
+    auto b = fast->Seal(iv, plain, aad);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(*a, *b) << "iter " << iter << " iv " << iv_len << " pt "
+                      << plain.size() << " aad " << aad.size();
+    auto opened = fast->Open(iv, *a, aad);
+    ASSERT_TRUE(opened.ok()) << "iter " << iter;
+    ASSERT_EQ(*opened, plain);
+    // Both paths reject the same corruption.
+    Bytes bad = *a;
+    bad[rng.NextBounded(bad.size())] ^= uint8_t(1 + rng.NextBounded(255));
+    ASSERT_FALSE(portable->Open(iv, bad, aad).ok());
+    ASSERT_FALSE(fast->Open(iv, bad, aad).ok());
+  }
+}
+
+TEST(CryptoDifferentialTest, Sha256SplitUpdatesMatch) {
+  SKIP_WITHOUT(sha_ni, "SHA-NI")
+  Drbg rng(9003);
+  for (int iter = 0; iter < kDiffIters; ++iter) {
+    Bytes data = rng.Generate(rng.NextBounded(1001));
+    Sha256 portable(CryptoImpl::kPortable);
+    portable.Update(data);
+    Sha256 fast(CryptoImpl::kAccelerated);
+    ASSERT_EQ(fast.impl(), CryptoImpl::kAccelerated);
+    // Random split points, so chunks straddle the 64-byte blocks.
+    for (size_t pos = 0; pos < data.size();) {
+      const size_t take = std::min<size_t>(data.size() - pos, rng.NextBounded(130));
+      fast.Update(ByteView(data.data() + pos, take));
+      pos += take;
+    }
+    ASSERT_EQ(portable.Finish(), fast.Finish())
+        << "iter " << iter << " len " << data.size();
+  }
+}
+
+TEST(CryptoDifferentialTest, Secp256k1MatchesPortable) {
+  Drbg rng(9004);
+  for (int iter = 0; iter < kDiffIters; ++iter) {
+    PrivateKey priv;
+    rng.Fill(priv.data(), priv.size());
+    auto pub = DerivePublicKey(priv);
+    auto pub_ref = portable::DerivePublicKey(priv);
+    ASSERT_EQ(pub.ok(), pub_ref.ok());
+    if (!pub.ok()) continue;  // >= n: both reject
+    ASSERT_EQ(*pub, *pub_ref) << "iter " << iter;
+
+    Hash256 digest;
+    rng.Fill(digest.data(), digest.size());
+    auto sig = EcdsaSign(priv, digest);
+    auto sig_ref = portable::EcdsaSign(priv, digest);
+    ASSERT_TRUE(sig.ok() && sig_ref.ok());
+    ASSERT_EQ(*sig, *sig_ref) << "iter " << iter;
+    ASSERT_TRUE(EcdsaVerify(*pub, digest, *sig));
+
+    // A signature over another digest (or a random one) must get the same
+    // verdict from both.
+    Signature other = *sig;
+    if (iter % 2 == 0) {
+      rng.Fill(other.data(), other.size());
+    } else {
+      other[rng.NextBounded(64)] ^= uint8_t(1 + rng.NextBounded(255));
+    }
+    ASSERT_EQ(EcdsaVerify(*pub, digest, other),
+              portable::EcdsaVerify(*pub, digest, other))
+        << "iter " << iter;
+
+    PrivateKey peer;
+    rng.Fill(peer.data(), peer.size());
+    auto secret = EcdhSharedSecret(peer, *pub);
+    auto secret_ref = portable::EcdhSharedSecret(peer, *pub);
+    ASSERT_EQ(secret.ok(), secret_ref.ok());
+    if (secret.ok()) {
+      ASSERT_EQ(*secret, *secret_ref) << "iter " << iter;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Edge vectors: both paths, same verdicts
+// ---------------------------------------------------------------------------
+
+template <size_t N>
+std::array<uint8_t, N> FromHex(std::string_view hex) {
+  auto bytes = HexDecode(hex);
+  EXPECT_TRUE(bytes.ok() && bytes->size() == N) << hex;
+  std::array<uint8_t, N> out{};
+  if (bytes.ok() && bytes->size() == N) std::copy(bytes->begin(), bytes->end(), out.begin());
+  return out;
+}
+
+constexpr std::string_view kOrderHex =
+    "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141";
+
+void ExpectVerdict(const PublicKey& pub, const Hash256& digest,
+                   const Signature& sig, bool expected) {
+  EXPECT_EQ(EcdsaVerify(pub, digest, sig), expected);
+  EXPECT_EQ(portable::EcdsaVerify(pub, digest, sig), expected);
+}
+
+TEST(Secp256k1EdgeTest, OutOfRangeRAndSRejected) {
+  Drbg rng(9100);
+  KeyPair kp = GenerateKeyPair(&rng);
+  Hash256 digest = Sha256::Digest(AsByteView("edge"));
+  auto sig = EcdsaSign(kp.priv, digest);
+  ASSERT_TRUE(sig.ok());
+  const auto order = FromHex<32>(kOrderHex);
+  for (int half = 0; half < 2; ++half) {
+    Signature bad = *sig;
+    std::fill(bad.begin() + 32 * half, bad.begin() + 32 * half + 32, 0);  // 0
+    ExpectVerdict(kp.pub, digest, bad, false);
+    std::copy(order.begin(), order.end(), bad.begin() + 32 * half);  // n
+    ExpectVerdict(kp.pub, digest, bad, false);
+    std::fill(bad.begin() + 32 * half, bad.begin() + 32 * half + 32, 0xff);  // > n
+    ExpectVerdict(kp.pub, digest, bad, false);
+  }
+}
+
+TEST(Secp256k1EdgeTest, HighSSignatureStillAccepted) {
+  // Sign normalizes to low-S, but verify has always accepted the high-S
+  // twin (n - s); both paths keep that verdict.
+  Drbg rng(9101);
+  KeyPair kp = GenerateKeyPair(&rng);
+  Hash256 digest = Sha256::Digest(AsByteView("malleable"));
+  auto sig = EcdsaSign(kp.priv, digest);
+  ASSERT_TRUE(sig.ok());
+  const auto order = FromHex<32>(kOrderHex);
+  Signature high = *sig;
+  int borrow = 0;
+  for (int i = 31; i >= 0; --i) {  // s' = n - s
+    int d = int(order[size_t(i)]) - int((*sig)[32 + size_t(i)]) - borrow;
+    borrow = d < 0;
+    high[32 + size_t(i)] = uint8_t(d + (borrow ? 256 : 0));
+  }
+  ASSERT_NE(high, *sig);
+  ExpectVerdict(kp.pub, digest, high, true);
+}
+
+TEST(Secp256k1EdgeTest, BadPublicKeysRejected) {
+  Drbg rng(9102);
+  KeyPair kp = GenerateKeyPair(&rng);
+  Hash256 digest = Sha256::Digest(AsByteView("keys"));
+  auto sig = EcdsaSign(kp.priv, digest);
+  ASSERT_TRUE(sig.ok());
+  std::vector<PublicKey> bad_keys;
+  PublicKey off_curve = kp.pub;
+  off_curve[63] ^= 1;
+  bad_keys.push_back(off_curve);
+  // (1, y) is a curve point; encoded with x + p it must not be reduced.
+  bad_keys.push_back(FromHex<64>(
+      "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc30"
+      "4218f20ae6c646b363db68605822fb14264ca8d2587fdd6fbc750d587e76a7ee"));
+  PublicKey x_is_p = kp.pub, y_is_p = kp.pub, all_ff{};
+  const auto p = FromHex<32>(
+      "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
+  std::copy(p.begin(), p.end(), x_is_p.begin());
+  std::copy(p.begin(), p.end(), y_is_p.begin() + 32);
+  all_ff.fill(0xff);
+  bad_keys.insert(bad_keys.end(), {x_is_p, y_is_p, all_ff, PublicKey{}});
+  PrivateKey priv{};
+  priv[31] = 7;
+  for (const PublicKey& bad : bad_keys) {
+    EXPECT_FALSE(IsValidPublicKey(bad));
+    ExpectVerdict(bad, digest, *sig, false);
+    EXPECT_FALSE(EcdhSharedSecret(priv, bad).ok());
+    EXPECT_FALSE(portable::EcdhSharedSecret(priv, bad).ok());
+  }
+  // The unreduced (1, y) itself is valid.
+  PublicKey one_y = bad_keys[1];
+  std::fill(one_y.begin(), one_y.begin() + 32, 0);
+  one_y[31] = 1;
+  EXPECT_TRUE(IsValidPublicKey(one_y));
+}
+
+TEST(Secp256k1EdgeTest, SpecialScalarsMatchPortable) {
+  std::vector<PrivateKey> scalars;
+  auto from_hex = [&](std::string_view hex) { scalars.push_back(FromHex<32>(hex)); };
+  from_hex("0000000000000000000000000000000000000000000000000000000000000001");
+  from_hex("0000000000000000000000000000000000000000000000000000000000000002");
+  from_hex("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364140");  // n-1
+  from_hex("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd036413f");  // n-2
+  from_hex("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364131");  // n-16
+  from_hex("7fffffffffffffffffffffffffffffff5d576e7357a4501ddfe92f46681b20a0");  // (n-1)/2
+  from_hex("8000000000000000000000000000000000000000000000000000000000000000");
+  from_hex("0000000000000000000000000000000100000000000000000000000000000000");
+  from_hex("00000000000000000000000000000000ffffffffffffffffffffffffffffffff");
+  from_hex("fffffffffffffffffffffffffffffffe00000000000000000000000000000000");
+  from_hex("00000000ffffffffffffffff0000000000000000ffffffffffffffff00000000");
+  from_hex("0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f");
+  from_hex("8888888888888888888888888888888888888888888888888888888888888888");
+  from_hex("7777777777777777777777777777777777777777777777777777777777777777");
+  from_hex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");  // λ
+  Drbg rng(9103);
+  KeyPair peer = GenerateKeyPair(&rng);
+  Hash256 digest = Sha256::Digest(AsByteView("scalars"));
+  for (const PrivateKey& k : scalars) {
+    SCOPED_TRACE(HexEncode(ByteView(k.data(), k.size())));
+    auto pub = DerivePublicKey(k);
+    auto pub_ref = portable::DerivePublicKey(k);
+    ASSERT_TRUE(pub.ok() && pub_ref.ok());
+    EXPECT_EQ(*pub, *pub_ref);
+    auto shared = EcdhSharedSecret(k, peer.pub);
+    auto shared_ref = portable::EcdhSharedSecret(k, peer.pub);
+    ASSERT_TRUE(shared.ok() && shared_ref.ok());
+    EXPECT_EQ(*shared, *shared_ref);
+    // The scalar as the peer's public multiplier too: k * G via the ladder.
+    PublicKey g = *DerivePublicKey(scalars[0]);
+    auto kg = EcdhSharedSecret(k, g);
+    ASSERT_TRUE(kg.ok());
+    EXPECT_EQ(*kg, Sha256::Digest(ByteView(pub->data(), 32)));
+    auto sig = EcdsaSign(k, digest);
+    auto sig_ref = portable::EcdsaSign(k, digest);
+    ASSERT_TRUE(sig.ok() && sig_ref.ok());
+    EXPECT_EQ(*sig, *sig_ref);
+    ExpectVerdict(*pub, digest, *sig, true);
+  }
+  // n and above are not private keys on either path.
+  PrivateKey order = FromHex<32>(kOrderHex);
+  EXPECT_FALSE(DerivePublicKey(order).ok());
+  EXPECT_FALSE(portable::DerivePublicKey(order).ok());
+}
+
+TEST(Secp256k1EdgeTest, JointSumDoublingAndInfinity) {
+  // Q = q*G and a signature crafted so u1*G = u2*Q: verify's joint sum
+  // is a doubling, and the signature is valid.
+  const PublicKey pub = FromHex<64>(
+      "bed1b9fc970295f7f77083fb5b2249d16696fbd1098bc850a37be330bcfb7803"
+      "185cd3405cc69e48017e329685494aa8415049be08388be96c246335c81561fa");
+  const Signature sig = FromHex<64>(
+      "4646ae5047316b4230d0086c8acec687f00b1cd9d1dc634f6cb358ac0a9a8fff"
+      "1c63544b6e63bac6cf948cfd1cb199750423d92ed726e56ee3a42bab0b07914f");
+  ExpectVerdict(pub,
+                FromHex<32>("e5bf6c508538b585d237fdc9938e08d545ad07fe3f1839bd8fb6c6377caf5434"),
+                sig, true);
+  // The negated digest makes u1*G = -u2*Q: the sum is the point at
+  // infinity and both paths reject.
+  ExpectVerdict(pub,
+                FromHex<32>("1a4093af7ac74a7a2dc802366c71f7297501d4e87030667e301b98555386ed0d"),
+                sig, false);
+}
+
+TEST(GcmEdgeTest, TagTamperedAtEveryByteFails) {
+  Bytes key(32, 0x42), iv(12, 0x24);
+  for (CryptoImpl impl : {CryptoImpl::kPortable, CryptoImpl::kAccelerated}) {
+    auto gcm = AesGcm::Create(key, impl);
+    ASSERT_TRUE(gcm.ok());
+    auto sealed = gcm->Seal(iv, AsByteView("sealed receipt body"), AsByteView("aad"));
+    ASSERT_TRUE(sealed.ok());
+    for (size_t i = sealed->size() - kGcmTagSize; i < sealed->size(); ++i) {
+      for (uint8_t flip : {uint8_t(0x01), uint8_t(0x80)}) {
+        Bytes bad = *sealed;
+        bad[i] ^= flip;
+        EXPECT_FALSE(gcm->Open(iv, bad, AsByteView("aad")).ok()) << "byte " << i;
+      }
+    }
+    EXPECT_TRUE(gcm->Open(iv, *sealed, AsByteView("aad")).ok());
+  }
+}
+
+TEST(CryptoDispatchTest, GaugesReportTheChosenPaths) {
+  const CpuFeatures& cpu = DetectedCpu();
+  auto snapshot = metrics::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(snapshot.gauges["crypto.impl.aes_ni"], cpu.aes_ni ? 1 : 0);
+  EXPECT_EQ(snapshot.gauges["crypto.impl.sha_ni"], cpu.sha_ni ? 1 : 0);
+  EXPECT_EQ(Sha256().impl(), DefaultShaImpl());
+  auto gcm = AesGcm::Create(Bytes(16, 1));
+  ASSERT_TRUE(gcm.ok());
+  EXPECT_EQ(gcm->impl(), DefaultAesImpl());
+  // Pinning the portable path always works.
+  EXPECT_EQ(Sha256(CryptoImpl::kPortable).impl(), CryptoImpl::kPortable);
 }
 
 // ---------------------------------------------------------------------------

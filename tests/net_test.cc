@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -354,6 +355,25 @@ TEST(ConfigTest, NodeFlagsParse) {
   EXPECT_EQ(cfg->state_dir, "/tmp/wal");
   EXPECT_EQ(cfg->tick_ms, 5u);
   EXPECT_EQ(cfg->metrics_out, "m.json");
+}
+
+TEST(ConfigTest, PrepareStateDirCreatesMissingParents) {
+  const auto root = std::filesystem::temp_directory_path() / "confide_state_dir_test";
+  std::filesystem::remove_all(root);
+  NodeConfig cfg;
+  cfg.state_dir = (root / "a" / "b").string();
+  ASSERT_TRUE(cfg.PrepareStateDir().ok());
+  EXPECT_TRUE(std::filesystem::is_directory(cfg.state_dir));
+  EXPECT_TRUE(cfg.PrepareStateDir().ok());  // existing dir: no-op
+  // A regular file in the way is reported, not ignored.
+  std::FILE* file = std::fopen((root / "file").string().c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  std::fclose(file);
+  cfg.state_dir = (root / "file" / "c").string();
+  EXPECT_FALSE(cfg.PrepareStateDir().ok());
+  cfg.state_dir.clear();  // volatile: nothing to create
+  EXPECT_TRUE(cfg.PrepareStateDir().ok());
+  std::filesystem::remove_all(root);
 }
 
 TEST(ConfigTest, NodeIdMustIndexPeers) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -919,6 +920,44 @@ TEST(LsmReadPathTest, BackgroundCompactionOnPoolKeepsDataIntact) {
   }
   for (int i = 300; i < 320; ++i) {
     EXPECT_TRUE((*store)->Get("bg" + std::to_string(i)).status().IsNotFound());
+  }
+}
+
+TEST(LsmReadPathTest, FlushesDuringBackgroundMergeAreCompactedBeforeIdle) {
+  // Regression: the pool task used to run one merge and go idle, so runs
+  // flushed while the merge was unlocked were left over max_runs until
+  // the next flush. The hook lands max_runs + 1 flushes mid-merge,
+  // deterministically; the task must keep merging until under the limit.
+  ThreadPool pool(1);
+  LsmOptions options;
+  options.memtable_flush_bytes = 1 << 20;  // flush only on Flush()
+  options.max_runs = 3;
+  options.compaction_pool = &pool;
+  LsmKvStore* raw = nullptr;
+  std::atomic<int> merges{0};
+  options.compaction_merge_hook = [&] {
+    if (merges.fetch_add(1) != 0) return;
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(raw->Put("mid" + std::to_string(i), ToBytes(std::string_view("m"))).ok());
+      ASSERT_TRUE(raw->Flush().ok());
+    }
+  };
+  auto store = LsmKvStore::Open(options);
+  ASSERT_TRUE(store.ok());
+  raw = store->get();
+  for (int i = 0; i < 4; ++i) {  // the fourth run schedules the merge
+    ASSERT_TRUE((*store)->Put("pre" + std::to_string(i), ToBytes(std::string_view("p"))).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  (*store)->WaitForCompaction();
+  EXPECT_GE(merges.load(), 2);
+  EXPECT_LE((*store)->RunCount(), options.max_runs);
+  for (int i = 0; i < 4; ++i) {
+    auto pre = (*store)->Get("pre" + std::to_string(i));
+    auto mid = (*store)->Get("mid" + std::to_string(i));
+    ASSERT_TRUE(pre.ok() && mid.ok());
+    EXPECT_EQ(ToString(*pre), "p");
+    EXPECT_EQ(ToString(*mid), "m");
   }
 }
 
