@@ -23,7 +23,7 @@
 ///
 /// `--real-threads` instead measures the *pipelined block lifecycle* as
 /// wall time: two identically-seeded systems run the same workload, one
-/// with the serial lifecycle and one with pipeline_depth=3 on 4 workers,
+/// at pipeline_depth=0 and one with pipeline_depth=3 on 4 workers,
 /// both paying a real ~6 ms commit wait plus a WAL fsync per block. The
 /// pipeline overlaps pre-verify/execute/commit across consecutive
 /// blocks, so the measured speedup is reported next to the stage-

@@ -34,7 +34,7 @@ inline double TimeSeconds(const std::function<void()>& fn) {
 }
 
 /// CI knob: CONFIDE_PIPELINE_DEPTH overrides the block-pipeline depth of
-/// every benchmark system (0 = serial lifecycle). Returns `fallback` when
+/// every benchmark system (0 = stages run inline). Returns `fallback` when
 /// the variable is unset or empty.
 inline uint32_t PipelineDepthFromEnv(uint32_t fallback) {
   const char* env = std::getenv("CONFIDE_PIPELINE_DEPTH");

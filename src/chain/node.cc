@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -236,32 +237,50 @@ Result<size_t> Node::PreVerify() {
   return count;
 }
 
-Result<Block> Node::ProposeBlock() {
+Block Node::PackBlock(uint64_t height, const crypto::Hash256& parent,
+                      const std::function<bool(Transaction*)>& next,
+                      std::optional<Transaction>* carry) const {
   Block block;
-  block.header.height = blocks_->NextHeight();
-  block.header.parent_hash = last_block_hash_;
-  block.header.timestamp_ns = block.header.height;  // deterministic
-
+  block.header.height = height;
+  block.header.parent_hash = parent;
+  block.header.timestamp_ns = height;  // deterministic
+  std::vector<Bytes> wires;
   size_t bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    while (!verified_.empty()) {
-      size_t tx_bytes = verified_.front().Serialize().size();
-      if (!block.transactions.empty() && bytes + tx_bytes > options_.block_max_bytes) {
-        break;
-      }
-      block.transactions.push_back(std::move(verified_.front()));
-      verified_.pop_front();
-      bytes += tx_bytes;
+  for (;;) {
+    Transaction tx;
+    if (carry->has_value()) {
+      tx = std::move(**carry);
+      carry->reset();
+    } else if (!next(&tx)) {
+      break;
     }
-    NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
+    Bytes wire = tx.Serialize();
+    if (!block.transactions.empty() &&
+        bytes + wire.size() > options_.block_max_bytes) {
+      *carry = std::move(tx);  // overflows this block; opens the next
+      break;
+    }
+    bytes += wire.size();
+    wires.push_back(std::move(wire));
+    block.transactions.push_back(std::move(tx));
   }
+  block.header.tx_root = crypto::MerkleTree(wires).Root();
+  return block;
+}
 
-  std::vector<Bytes> leaves;
-  for (const Transaction& tx : block.transactions) {
-    leaves.push_back(tx.Serialize());
-  }
-  block.header.tx_root = crypto::MerkleTree(leaves).Root();
+Result<Block> Node::ProposeBlock() {
+  auto next = [this](Transaction* tx) {
+    std::lock_guard<std::mutex> lock(pool_mutex_);
+    if (verified_.empty()) return false;
+    *tx = std::move(verified_.front());
+    verified_.pop_front();
+    return true;
+  };
+  std::optional<Transaction> carry;
+  Block block = PackBlock(blocks_->NextHeight(), last_block_hash_, next, &carry);
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  if (carry.has_value()) verified_.push_front(std::move(*carry));
+  NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
   return block;
 }
 
@@ -273,18 +292,20 @@ void Node::RequeueVerified(std::vector<Transaction> txs) {
   NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
 }
 
-Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
+/// A block that finished the stage step (executed + staged) and waits for
+/// the commit step.
+struct Node::StagedBlock {
+  Block stored;  ///< header carries the receipt and state roots once staged
+  crypto::Hash256 block_hash{};
+  storage::WriteBatch batch;
+  std::vector<Receipt> receipts;
+};
+
+Status Node::StageBlock(StagedBlock* staged) {
   if (fault::FaultInjector::Global().ShouldFail("fault.chain.apply_block")) {
     return Status::Unavailable("node: injected apply-block failure");
   }
-  if (block.header.height != blocks_->NextHeight()) {
-    return Status::InvalidArgument("node: block height mismatch");
-  }
-  if (block.header.height > 0 && block.header.parent_hash != last_block_hash_) {
-    return Status::InvalidArgument("node: parent hash mismatch");
-  }
-
-  std::vector<Receipt> receipts;
+  Block& block = staged->stored;
   {
     metrics::ScopedLatencyTimer timer(NodeMetrics::Get().block_execute_latency);
     auto executed =
@@ -293,89 +314,89 @@ Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
       state_->Discard();  // partial overlay from failed groups
       return executed.status();
     }
-    receipts = std::move(*executed);
+    staged->receipts = std::move(*executed);
   }
-  NodeMetrics::Get().blocks->Increment();
-  NodeMetrics::Get().block_txs->Increment(block.transactions.size());
-  NodeMetrics::Get().txs_per_block->Observe(block.transactions.size());
 
   // Receipts, the tx→block index, the state writes and the block itself
   // land in ONE batch: the store applies a batch atomically (single WAL
   // record), so any write failure — injected or real — leaves the chain
   // exactly at the previous block.
-  storage::WriteBatch batch;
-  for (size_t i = 0; i < receipts.size(); ++i) {
-    const crypto::Hash256 tx_hash = block.transactions[i].Hash();
-    receipts[i].tx_hash = tx_hash;
-    uint8_t height_be[8];
-    StoreBe64(height_be, block.header.height);
-    batch.Put(ReceiptKey(tx_hash), receipts[i].Serialize());
-    batch.Put(TxIndexKey(tx_hash), Bytes(height_be, height_be + 8));
-  }
-
+  uint8_t height_be[8];
+  StoreBe64(height_be, block.header.height);
   std::vector<Bytes> receipt_leaves;
-  for (const Receipt& receipt : receipts) {
-    receipt_leaves.push_back(receipt.Serialize());
+  receipt_leaves.reserve(staged->receipts.size());
+  for (size_t i = 0; i < staged->receipts.size(); ++i) {
+    const crypto::Hash256 tx_hash = block.transactions[i].Hash();
+    staged->receipts[i].tx_hash = tx_hash;
+    receipt_leaves.push_back(staged->receipts[i].Serialize());
+    staged->batch.Put(ReceiptKey(tx_hash), receipt_leaves.back());
+    staged->batch.Put(TxIndexKey(tx_hash), Bytes(height_be, height_be + 8));
   }
+  block.header.receipt_root = crypto::MerkleTree(receipt_leaves).Root();
+  state_->StageCommit(&staged->batch, &block.header.state_root);
+  staged->block_hash = block.header.Hash();
+  return blocks_->StageAppend(block.header.height, staged->block_hash,
+                              block.Serialize(), &staged->batch);
+}
 
-  Block stored = block;
-  stored.header.receipt_root = crypto::MerkleTree(receipt_leaves).Root();
-  crypto::Hash256 new_root;
-  state_->StageCommit(&batch, &new_root);
-  stored.header.state_root = new_root;
-
-  crypto::Hash256 block_hash = stored.header.Hash();
-  Status staged = blocks_->StageAppend(stored.header.height, block_hash,
-                                       stored.Serialize(), &batch);
-  if (!staged.ok()) {
-    state_->RollbackPending();
-    return staged;
+Status Node::CommitGroup(std::vector<std::unique_ptr<StagedBlock>>* group,
+                         size_t* finalized, std::vector<Receipt>* receipts) {
+  *finalized = 0;
+  for (auto& block : *group) {
+    CONFIDE_RETURN_NOT_OK(kv_->Write(block->batch));
+    // The batch landed; finalize immediately so the in-memory view
+    // (roots, height cursors, tip) never trails what the store holds.
+    const crypto::Hash256& new_root = block->stored.header.state_root;
+    state_->FinalizeCommit(new_root);
+    blocks_->FinalizeAppend();
+    last_block_hash_ = block->block_hash;
+    // The commit step is the only writer of the backing store, so a
+    // snapshot taken here sees exactly the committed prefix.
+    MaybeCheckpointTip(blocks_->NextHeight(), block->block_hash, new_root);
+    const size_t txs = block->stored.transactions.size();
+    NodeMetrics::Get().blocks->Increment();
+    NodeMetrics::Get().block_txs->Increment(txs);
+    NodeMetrics::Get().txs_per_block->Observe(double(txs));
+    for (Receipt& receipt : block->receipts) receipts->push_back(std::move(receipt));
+    ++*finalized;
   }
-  Status written = kv_->Write(batch);
-  if (written.ok()) CommitWriteWait(options_.commit_write_latency_ns);
-  if (written.ok() && options_.sync_commits) written = kv_->Sync();
-  if (!written.ok()) {
+  // One device write + fsync covers the whole group (group commit):
+  // consecutive blocks' batches share a single ~6 ms SSD flush, and the
+  // WAL counts the coalesced appends under storage.wal.group_commit.batched.
+  // A failed fsync is reported, never undone: the finalized blocks are in
+  // the store, and re-executing them would apply them twice.
+  CommitWriteWait(options_.commit_write_latency_ns);
+  return options_.sync_commits ? kv_->Sync() : Status::OK();
+}
+
+Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
+  if (block.header.height != blocks_->NextHeight()) {
+    return Status::InvalidArgument("node: block height mismatch");
+  }
+  if (block.header.height > 0 && block.header.parent_hash != last_block_hash_) {
+    return Status::InvalidArgument("node: parent hash mismatch");
+  }
+  std::vector<std::unique_ptr<StagedBlock>> group;
+  group.push_back(std::make_unique<StagedBlock>());
+  group[0]->stored = block;
+  std::vector<Receipt> receipts;
+  size_t finalized = 0;
+  Status status = StageBlock(group[0].get());
+  if (status.ok()) status = CommitGroup(&group, &finalized, &receipts);
+  if (!status.ok()) {
     state_->RollbackPending();
     blocks_->RollbackStaged();
-    return written;
+    return status;
   }
-  state_->FinalizeCommit(new_root);
-  blocks_->FinalizeAppend();
-  last_block_hash_ = block_hash;
-  MaybeCheckpointTip(blocks_->NextHeight(), block_hash, new_root);
   return receipts;
 }
 
-namespace {
-
-/// A block that finished stage 2 (executed + staged) and waits for the
-/// commit stage.
-struct StagedBlock {
-  Block stored;
-  crypto::Hash256 block_hash{};
-  crypto::Hash256 new_root{};
-  storage::WriteBatch batch;
-  std::vector<Receipt> receipts;
-};
-
-}  // namespace
-
 Result<std::vector<Receipt>> Node::RunPipelined() {
-  if (options_.pipeline_depth == 0 || pool_ == nullptr) {
-    // The gate defaults to the old strictly serial lifecycle.
-    std::vector<Receipt> all;
-    for (;;) {
-      CONFIDE_RETURN_NOT_OK(PreVerify().status());
-      if (VerifiedPoolSize() == 0) break;
-      CONFIDE_ASSIGN_OR_RETURN(Block block, ProposeBlock());
-      if (block.transactions.empty()) break;
-      CONFIDE_ASSIGN_OR_RETURN(std::vector<Receipt> receipts, ApplyBlock(block));
-      for (Receipt& receipt : receipts) all.push_back(std::move(receipt));
-    }
-    return all;
-  }
-
-  const uint32_t depth = options_.pipeline_depth;
+  // Depth 0 (or no pool to host the stage tasks) is the degenerate
+  // pipeline: stages 1 and 3 run inline on this thread and every commit
+  // group holds one block.
+  const bool threaded = options_.pipeline_depth > 0 && pool_ != nullptr;
+  const uint32_t depth = threaded ? options_.pipeline_depth : 1;
   const PipelineMetrics& pm = PipelineMetrics::Get();
 
   // Transactions a previous failed run returned to the verified pool
@@ -392,7 +413,10 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
     NodeMetrics::Get().unverified_pool->Set(int64_t(unverified_.size()));
   }
 
-  BoundedQueue<Transaction> verified_queue(size_t(depth) * 64);
+  // Inline, stage 1 verifies the whole pool before stage 2 packs, so the
+  // verified queue must hold all of it.
+  BoundedQueue<Transaction> verified_queue(
+      threaded ? size_t(depth) * 64 : std::numeric_limits<size_t>::max());
   BoundedQueue<std::unique_ptr<StagedBlock>> staged_queue(depth);
 
   std::atomic<bool> failed{false};
@@ -412,86 +436,112 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
   std::mutex aborted_mu;
   std::deque<Transaction> aborted_txs;
 
-  // --- Stage 1: batched pre-verification (pool task) ---------------------
-  std::future<void> stage1 = pool_->Submit([&] {
+  // --- Stage 1 step: batched pre-verification ----------------------------
+  // Swaps out the unverified pool and pushes its valid transactions in
+  // order; false once the pool is empty or the run failed.
+  auto verify_step = [&]() -> bool {
     try {
-      for (;;) {
-        if (failed.load()) break;
-        std::deque<Transaction> pending;
-        {
-          std::lock_guard<std::mutex> lock(pool_mutex_);
-          pending.swap(unverified_);
-          NodeMetrics::Get().unverified_pool->Set(0);
-        }
-        if (pending.empty()) break;
-        if (fault::FaultInjector::Global().ShouldFail(
-                "fault.chain.pipeline.preverify")) {
-          // Return the whole batch: an injected verifier outage must not
-          // drop transactions.
-          std::lock_guard<std::mutex> lock(pool_mutex_);
-          for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-            unverified_.push_front(std::move(*it));
-          }
-          fail(Status::Unavailable("pipeline: injected pre-verify failure"));
-          break;
-        }
-        // Verify in small chunks, not the whole swap: downstream stages
-        // start on the first chunk while later ones are still in the
-        // verifier, which is where the verify/execute overlap comes from.
-        constexpr size_t kPreVerifyChunk = 16;
-        bool closed = false;
-        while (!pending.empty() && !closed) {
-          metrics::ScopedLatencyTimer timer(pm.preverify_latency);
-          size_t n = std::min<size_t>(kPreVerifyChunk, pending.size());
-          std::vector<Transaction> txs(
-              std::make_move_iterator(pending.begin()),
-              std::make_move_iterator(pending.begin() + ptrdiff_t(n)));
-          pending.erase(pending.begin(), pending.begin() + ptrdiff_t(n));
-          std::vector<uint8_t> valid(txs.size(), 0);
-          PreVerifyBatch(&txs, &valid);
-          for (size_t i = 0; i < txs.size(); ++i) {
-            if (!valid[i]) continue;
-            if (!verified_queue.Push(&txs[i])) {
-              // Shutdown mid-batch: return the unconsumed tail — verified
-              // remainder of this chunk first, then the unverified rest.
-              std::lock_guard<std::mutex> lock(pool_mutex_);
-              for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-                unverified_.push_front(std::move(*it));
-              }
-              for (size_t j = txs.size(); j-- > i;) {
-                if (valid[j]) unverified_.push_front(std::move(txs[j]));
-              }
-              closed = true;
-              break;
-            }
-            pm.verified_queue->Set(int64_t(verified_queue.Size()));
-          }
-        }
-        if (closed) break;
+      std::deque<Transaction> pending;
+      {
+        std::lock_guard<std::mutex> lock(pool_mutex_);
+        pending.swap(unverified_);
+        NodeMetrics::Get().unverified_pool->Set(0);
       }
+      if (pending.empty()) return false;
+      if (fault::FaultInjector::Global().ShouldFail(
+              "fault.chain.pipeline.preverify")) {
+        // Return the whole batch: an injected verifier outage must not
+        // drop transactions.
+        std::lock_guard<std::mutex> lock(pool_mutex_);
+        for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+          unverified_.push_front(std::move(*it));
+        }
+        fail(Status::Unavailable("pipeline: injected pre-verify failure"));
+        return false;
+      }
+      // Threaded, verify in small chunks, not the whole swap: downstream
+      // stages start on the first chunk while later ones are still in the
+      // verifier, which is where the verify/execute overlap comes from.
+      // Inline nothing overlaps, so the whole swap is one batch.
+      constexpr size_t kPreVerifyChunk = 16;
+      const size_t chunk = threaded ? kPreVerifyChunk : pending.size();
+      while (!pending.empty()) {
+        metrics::ScopedLatencyTimer timer(pm.preverify_latency);
+        metrics::ScopedLatencyTimer batch_timer(
+            NodeMetrics::Get().preverify_batch_latency);
+        size_t n = std::min(chunk, pending.size());
+        std::vector<Transaction> txs(
+            std::make_move_iterator(pending.begin()),
+            std::make_move_iterator(pending.begin() + ptrdiff_t(n)));
+        pending.erase(pending.begin(), pending.begin() + ptrdiff_t(n));
+        std::vector<uint8_t> valid(txs.size(), 0);
+        PreVerifyBatch(&txs, &valid);
+        for (size_t i = 0; i < txs.size(); ++i) {
+          if (!valid[i]) continue;
+          if (!verified_queue.Push(&txs[i])) {
+            // Shutdown mid-batch: return the unconsumed tail — verified
+            // remainder of this chunk first, then the unverified rest.
+            std::lock_guard<std::mutex> lock(pool_mutex_);
+            for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+              unverified_.push_front(std::move(*it));
+            }
+            for (size_t j = txs.size(); j-- > i;) {
+              if (valid[j]) unverified_.push_front(std::move(txs[j]));
+            }
+            return false;
+          }
+          pm.verified_queue->Set(int64_t(verified_queue.Size()));
+        }
+      }
+      return true;
     } catch (...) {
       fail(Status::Internal("pipeline: pre-verify stage threw"));
+      return false;
     }
-    verified_queue.Close();
-  });
+  };
 
-  // --- Stage 3: group commit + finalize (pool task) ----------------------
+  // --- Stage 3 step: group commit + finalize -----------------------------
+  // False once the run failed; the group's uncommitted transactions are
+  // then set aside for the unwind.
   std::vector<Receipt> committed_receipts;
-  crypto::Hash256 durable_tip = last_block_hash_;
-  std::future<void> stage3 = pool_->Submit([&] {
-    auto abort_group = [&](std::vector<std::unique_ptr<StagedBlock>>* group,
-                           size_t from) {
-      std::lock_guard<std::mutex> lock(aborted_mu);
-      for (size_t b = from; b < group->size(); ++b) {
-        for (Transaction& tx : (*group)[b]->stored.transactions) {
-          aborted_txs.push_back(std::move(tx));
-        }
-      }
-    };
+  auto commit_step = [&](std::vector<std::unique_ptr<StagedBlock>>* group) {
     try {
-      for (;;) {
-        std::unique_ptr<StagedBlock> first;
-        if (!staged_queue.Pop(&first)) break;
+      metrics::ScopedLatencyTimer timer(pm.commit_latency);
+      size_t finalized = 0;
+      Status status =
+          fault::FaultInjector::Global().ShouldFail("fault.chain.pipeline.commit")
+              ? Status::Unavailable("pipeline: injected commit failure")
+              : CommitGroup(group, &finalized, &committed_receipts);
+      pm.blocks->Increment(finalized);
+      if (!status.ok()) {
+        std::lock_guard<std::mutex> lock(aborted_mu);
+        for (size_t b = finalized; b < group->size(); ++b) {
+          for (Transaction& tx : (*group)[b]->stored.transactions) {
+            aborted_txs.push_back(std::move(tx));
+          }
+        }
+        fail(status);
+        return false;
+      }
+      pm.commit_group_blocks->Observe(double(group->size()));
+      return true;
+    } catch (...) {
+      fail(Status::Internal("pipeline: commit stage threw"));
+      return false;
+    }
+  };
+
+  std::future<void> stage1;
+  std::future<void> stage3;
+  if (threaded) {
+    stage1 = pool_->Submit([&] {
+      while (!failed.load() && verify_step()) {
+      }
+      verified_queue.Close();
+    });
+    stage3 = pool_->Submit([&] {
+      std::unique_ptr<StagedBlock> first;
+      while (staged_queue.Pop(&first)) {
         // Drain whatever else is already staged: these blocks commit as
         // one group and their WAL records share a single fsync.
         std::vector<std::unique_ptr<StagedBlock>> group;
@@ -501,56 +551,23 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
           group.push_back(std::move(more));
         }
         pm.staged_queue->Set(int64_t(staged_queue.Size()));
-        metrics::ScopedLatencyTimer timer(pm.commit_latency);
-        if (fault::FaultInjector::Global().ShouldFail(
-                "fault.chain.pipeline.commit")) {
-          abort_group(&group, 0);
-          fail(Status::Unavailable("pipeline: injected commit failure"));
-          break;
-        }
-        Status status = Status::OK();
-        size_t written = 0;
-        for (auto& block : group) {
-          status = kv_->Write(block->batch);
-          if (!status.ok()) break;
-          // The batch landed; finalize immediately so the in-memory view
-          // (roots, height cursors) never trails what the store holds.
-          state_->FinalizeCommit(block->new_root);
-          blocks_->FinalizeAppend();
-          durable_tip = block->block_hash;
-          // Stage 3 is the only writer of the backing store, so a
-          // snapshot taken here sees exactly the committed prefix.
-          MaybeCheckpointTip(blocks_->NextHeight(), block->block_hash,
-                             block->new_root);
-          NodeMetrics::Get().blocks->Increment();
-          NodeMetrics::Get().block_txs->Increment(block->stored.transactions.size());
-          NodeMetrics::Get().txs_per_block->Observe(
-              double(block->stored.transactions.size()));
-          pm.blocks->Increment();
-          for (Receipt& receipt : block->receipts) {
-            committed_receipts.push_back(std::move(receipt));
-          }
-          ++written;
-        }
-        // One device write + fsync covers the whole group (group commit):
-        // consecutive blocks' batches share a single ~6 ms SSD flush, and
-        // the WAL counts the coalesced appends under
-        // storage.wal.group_commit.batched.
-        if (status.ok()) CommitWriteWait(options_.commit_write_latency_ns);
-        if (status.ok() && options_.sync_commits) status = kv_->Sync();
-        if (!status.ok()) {
-          abort_group(&group, written);
-          fail(status);
-          break;
-        }
-        pm.commit_group_blocks->Observe(double(group.size()));
+        if (!commit_step(&group)) break;
       }
-    } catch (...) {
-      fail(Status::Internal("pipeline: commit stage threw"));
+    });
+  }
+  auto next_verified = [&](Transaction* tx) {
+    if (threaded) {
+      if (!verified_queue.Pop(tx)) return false;  // stage 1 done, drained
+    } else {
+      while (!verified_queue.TryPop(tx)) {
+        if (failed.load() || !verify_step()) return false;
+      }
     }
-  });
+    pm.verified_queue->Set(int64_t(verified_queue.Size()));
+    return true;
+  };
 
-  // --- Stage 2: propose + execute + stage (this thread) ------------------
+  // --- Stage 2: pack + execute + stage (this thread) ---------------------
   // Serial across blocks by construction: block N+1's header chains to
   // block N's state/receipt roots, so proposal cannot overlap execution
   // of the same stream — but it overlaps stage 1 and stage 3 freely.
@@ -558,33 +575,11 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
   crypto::Hash256 parent = last_block_hash_;
   std::optional<Transaction> carry;
   std::vector<Transaction> failed_block_txs;
-  Status stage2_status = Status::OK();
 
   while (!failed.load()) {
-    Block block;
-    block.header.height = height;
-    block.header.parent_hash = parent;
-    block.header.timestamp_ns = height;  // deterministic
-    size_t bytes = 0;
-    for (;;) {
-      Transaction tx;
-      if (carry.has_value()) {
-        tx = std::move(*carry);
-        carry.reset();
-      } else if (!verified_queue.Pop(&tx)) {
-        break;  // stage 1 finished and the queue drained
-      }
-      pm.verified_queue->Set(int64_t(verified_queue.Size()));
-      size_t tx_bytes = tx.Serialize().size();
-      if (!block.transactions.empty() &&
-          bytes + tx_bytes > options_.block_max_bytes) {
-        carry = std::move(tx);  // overflows this block; opens the next
-        break;
-      }
-      bytes += tx_bytes;
-      block.transactions.push_back(std::move(tx));
-    }
-    if (block.transactions.empty()) break;  // pools drained
+    auto staged = std::make_unique<StagedBlock>();
+    staged->stored = PackBlock(height, parent, next_verified, &carry);
+    if (staged->stored.transactions.empty()) break;  // pools drained
 
     uint64_t stall_ns = 0;
     if (fault::FaultInjector::Global().ShouldFail("fault.chain.pipeline.stall",
@@ -596,58 +591,27 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
           std::chrono::nanoseconds(stall_ns > 0 ? stall_ns : 1'000'000));
       fault::NoteRecovered("fault.chain.pipeline.stall");
     }
+    Status status;
     if (fault::FaultInjector::Global().ShouldFail(
             "fault.chain.pipeline.execute")) {
-      stage2_status = Status::Unavailable("pipeline: injected execute failure");
-      failed_block_txs = std::move(block.transactions);
-      break;
+      status = Status::Unavailable("pipeline: injected execute failure");
+    } else {
+      metrics::ScopedLatencyTimer timer(pm.execute_latency);
+      status = StageBlock(staged.get());
     }
-
-    metrics::ScopedLatencyTimer timer(pm.execute_latency);
-    std::vector<Bytes> leaves;
-    for (const Transaction& tx : block.transactions) {
-      leaves.push_back(tx.Serialize());
-    }
-    block.header.tx_root = crypto::MerkleTree(leaves).Root();
-
-    auto executed =
-        executor_.ExecuteBlock(block.transactions, engines_, state_.get());
-    if (!executed.ok()) {
-      state_->Discard();  // partial overlay from failed groups
-      stage2_status = executed.status();
-      failed_block_txs = std::move(block.transactions);
-      break;
-    }
-
-    auto staged = std::make_unique<StagedBlock>();
-    staged->receipts = std::move(*executed);
-    for (size_t i = 0; i < staged->receipts.size(); ++i) {
-      const crypto::Hash256 tx_hash = block.transactions[i].Hash();
-      staged->receipts[i].tx_hash = tx_hash;
-      uint8_t height_be[8];
-      StoreBe64(height_be, height);
-      staged->batch.Put(ReceiptKey(tx_hash), staged->receipts[i].Serialize());
-      staged->batch.Put(TxIndexKey(tx_hash), Bytes(height_be, height_be + 8));
-    }
-    std::vector<Bytes> receipt_leaves;
-    for (const Receipt& receipt : staged->receipts) {
-      receipt_leaves.push_back(receipt.Serialize());
-    }
-    staged->stored = std::move(block);
-    staged->stored.header.receipt_root = crypto::MerkleTree(receipt_leaves).Root();
-    state_->StageCommit(&staged->batch, &staged->new_root);
-    staged->stored.header.state_root = staged->new_root;
-    staged->block_hash = staged->stored.header.Hash();
-    Status append = blocks_->StageAppend(height, staged->block_hash,
-                                         staged->stored.Serialize(),
-                                         &staged->batch);
-    if (!append.ok()) {
-      stage2_status = append;
+    if (!status.ok()) {
       failed_block_txs = std::move(staged->stored.transactions);
+      fail(std::move(status));
       break;
     }
     parent = staged->block_hash;
     ++height;
+    if (!threaded) {
+      std::vector<std::unique_ptr<StagedBlock>> group;
+      group.push_back(std::move(staged));
+      if (!commit_step(&group)) break;
+      continue;
+    }
     if (!staged_queue.Push(&staged)) {
       // Commit stage failed and closed the queue; this block never commits.
       failed_block_txs = std::move(staged->stored.transactions);
@@ -655,15 +619,14 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
     }
     pm.staged_queue->Set(int64_t(staged_queue.Size()));
   }
-  if (!stage2_status.ok()) fail(stage2_status);
   staged_queue.Close();   // lets stage 3 drain what was validly staged
   verified_queue.Close();  // stops stage 1 if it is still producing
-
-  stage3.get();
-  stage1.get();
+  if (threaded) {
+    stage3.get();
+    stage1.get();
+  }
 
   // The committed prefix is final; everything staged past it unwinds.
-  last_block_hash_ = durable_tip;
   state_->RollbackPending();
   blocks_->RollbackStaged();
 

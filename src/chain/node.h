@@ -6,8 +6,10 @@
 #pragma once
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "chain/checkpoint.h"
 #include "chain/executor.h"
@@ -28,7 +30,7 @@ struct NodeOptions {
   /// Directory for the state-store WAL; empty = volatile state.
   std::string state_wal_dir;
   /// Blocks allowed in flight between the execute and commit stages of
-  /// RunPipelined(). 0 = the old strictly serial lifecycle.
+  /// RunPipelined(). 0 = stages run inline, one block per commit group.
   uint32_t pipeline_depth = 0;
   /// fsync the store once per commit group (group commit): consecutive
   /// blocks' log records coalesce into one device flush.
@@ -37,8 +39,8 @@ struct NodeOptions {
   /// cloud-SSD block write (§6.4) as actual blocking time the pipeline
   /// can overlap with execution. Charged once per commit group — one
   /// coalesced device flush covers consecutive blocks under group
-  /// commit, so the serial lifecycle pays it per block while the
-  /// pipeline pays it per group. 0 = no modelled wait.
+  /// commit, so ApplyBlock() and depth 0 pay it per block while a
+  /// deeper pipeline pays it per group. 0 = no modelled wait.
   uint64_t commit_write_latency_ns = 0;
   /// Stable-checkpoint production (checkpoint.h). interval == 0 disables.
   CheckpointOptions checkpoint;
@@ -87,25 +89,24 @@ class Node {
   /// block committed) so the drained transactions are not lost.
   void RequeueVerified(std::vector<Transaction> txs);
 
-  /// \brief Executes and commits a block: state writes, receipts, block
-  /// storage — all folded into one atomic KV write, so an injected
-  /// storage fault (or any write failure) surfaces as a clean error with
-  /// no partial commit; the caller can retry the whole block. Returns
-  /// the receipts in order.
+  /// \brief Executes and commits a block from consensus or state sync:
+  /// the height and parent checks, then RunPipelined()'s stage and commit
+  /// steps with a group of one. A failed execution or write leaves the
+  /// chain at the previous block, so the caller can retry the block. A
+  /// failed fsync after the write landed leaves it committed and returns
+  /// the error; a retry then fails the height check rather than executing
+  /// the block twice. Returns the receipts in order.
   Result<std::vector<Receipt>> ApplyBlock(const Block& block);
 
-  /// \brief Drains the transaction pools through the three-stage block
-  /// pipeline: stage 1 batch-pre-verifies on the shared pool, stage 2
-  /// (this thread) proposes + executes + stages blocks, stage 3 writes
-  /// and finalizes them, one WAL fsync per commit group. Block N+1
-  /// pre-verifies while block N executes and block N−1 commits; bounded
-  /// queues (capacity `pipeline_depth`) provide backpressure. Every
-  /// block still lands as one atomic WriteBatch. On failure the chain
-  /// stops at the last durably committed block (staged state and
-  /// appends roll back; unprocessed transactions return to the pools)
-  /// and the error is returned. With pipeline_depth == 0 this is the
-  /// serial PreVerify/ProposeBlock/ApplyBlock loop. Returns receipts in
-  /// block order.
+  /// \brief Drains the pools through the block lifecycle: stage 1
+  /// batch-pre-verifies, stage 2 (this thread) packs and stages blocks,
+  /// stage 3 group-commits them. With pipeline_depth > 0 stages 1 and 3
+  /// run on the shared pool behind bounded queues (capacity
+  /// `pipeline_depth`), so block N+1 pre-verifies while block N executes
+  /// and block N−1 commits; with 0 (or no pool) they run inline, one block
+  /// per group. On failure the chain stops at the last committed block,
+  /// staged work rolls back, uncommitted transactions return to the pools
+  /// in order, and the error is returned. Returns receipts in block order.
   Result<std::vector<Receipt>> RunPipelined();
 
   /// \brief Fetches a stored receipt by transaction hash.
@@ -143,6 +144,27 @@ class Node {
  private:
   Node(NodeOptions options, EngineSet engines,
        std::shared_ptr<storage::KvStore> kv);
+
+  /// A block between the stage and commit steps; defined in node.cc.
+  struct StagedBlock;
+
+  /// \brief The block packer: pulls `*carry`, then `next`, into a block
+  /// extending (height, parent) up to block_max_bytes (the first tx
+  /// always fits); sets tx_root. The tx that did not fit stays in `*carry`.
+  Block PackBlock(uint64_t height, const crypto::Hash256& parent,
+                  const std::function<bool(Transaction*)>& next,
+                  std::optional<Transaction>* carry) const;
+
+  /// \brief The stage step: executes the block and folds state writes,
+  /// receipts, tx index and body into its batch, filling in the receipt
+  /// and state roots. Touches no store.
+  Status StageBlock(StagedBlock* staged);
+
+  /// \brief The group-commit step: per block, write + finalize; per group,
+  /// one commit wait + fsync. Finalized blocks stay finalized on a failed
+  /// fsync. Appends their receipts; `*finalized` counts them.
+  Status CommitGroup(std::vector<std::unique_ptr<StagedBlock>>* group,
+                     size_t* finalized, std::vector<Receipt>* receipts);
 
   /// \brief Parallel pre-verification of `txs` on the shared pool;
   /// `valid[i]` is set for transactions that passed.

@@ -40,7 +40,9 @@ inline ByteView AsByteView(std::string_view s) {
 
 /// \brief Appends `src` to `dst`.
 inline void Append(Bytes* dst, ByteView src) {
-  dst->insert(dst->end(), src.begin(), src.end());
+  const size_t offset = dst->size();
+  dst->resize(offset + src.size());
+  if (!src.empty()) std::memcpy(dst->data() + offset, src.data(), src.size());
 }
 
 /// \brief Concatenates any number of byte views.

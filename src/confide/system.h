@@ -42,7 +42,7 @@ struct SystemOptions {
   /// Directory for the node state WAL; empty = volatile state store.
   std::string state_wal_dir;
   /// Blocks in flight between the node's execute and commit stages;
-  /// 0 = serial lifecycle (see chain::NodeOptions::pipeline_depth).
+  /// 0 = stages run inline (see chain::NodeOptions::pipeline_depth).
   uint32_t pipeline_depth = 0;
   /// fsync once per commit group (WAL group commit).
   bool sync_commits = false;
@@ -97,8 +97,8 @@ class ConfideSystem {
   tee::EnclaveId km_enclave_id() const { return km_id_; }
   bool km_alive() const { return km_alive_; }
 
-  /// \brief Submits, pre-verifies, proposes, and applies until the pools
-  /// drain. Convenience for tests/examples; returns total receipts.
+  /// \brief Drains the pools through Node::RunPipelined() and seals the
+  /// advanced tip's freshness generation. Returns total receipts.
   Result<std::vector<chain::Receipt>> RunToCompletion();
 
   /// \brief True while the CS enclave backing the confidential engine is

@@ -626,58 +626,69 @@ TEST_F(NodeTest, SpvProofRoundTrip) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineTest, PipelinedMatchesSerialLifecycle) {
-  // Two nodes, identical submissions; one runs the serial
-  // verify/propose/apply loop, the other the three-stage pipeline. The
-  // resulting chains must be bit-identical.
-  ScriptEngine serial_engine, piped_engine;
-  EngineSet serial_engines{&serial_engine, &serial_engine};
-  EngineSet piped_engines{&piped_engine, &piped_engine};
-
-  NodeOptions serial_options;
-  serial_options.block_max_bytes = 512;  // force several blocks
-  NodeOptions piped_options = serial_options;
-  piped_options.parallelism = 2;
-  piped_options.pipeline_depth = 3;
-
-  auto serial_node = Node::Create(serial_options, serial_engines);
-  auto piped_node = Node::Create(piped_options, piped_engines);
-  ASSERT_TRUE(serial_node.ok() && piped_node.ok());
-
-  crypto::Drbg rng_a(77), rng_b(77);  // identical tx streams
-  for (int i = 0; i < 24; ++i) {
-    std::string target = "ctr-" + std::to_string(i % 5);
-    Transaction tx_a = MakeSignedTx(&rng_a, NamedAddress("c"), "bump", ToBytes(target));
-    Transaction tx_b = MakeSignedTx(&rng_b, NamedAddress("c"), "bump", ToBytes(target));
-    ASSERT_EQ(tx_a.Hash(), tx_b.Hash());
-    ASSERT_TRUE((*serial_node)->SubmitTransaction(tx_a).ok());
-    ASSERT_TRUE((*piped_node)->SubmitTransaction(tx_b).ok());
+  // Three nodes, identical submissions: one hand-driven through
+  // PreVerify/ProposeBlock/ApplyBlock, one through RunPipelined() at
+  // depth 0 and one at depth 3. Chains, receipts and state roots must be
+  // bit-identical.
+  struct Run {
+    ScriptEngine engine;
+    std::unique_ptr<Node> node;
+    std::vector<Receipt> receipts;
+  };
+  Run hand, depth0, depth3;
+  NodeOptions options;
+  options.block_max_bytes = 512;  // force several blocks
+  for (Run* run : {&hand, &depth0, &depth3}) {
+    NodeOptions run_options = options;
+    if (run != &hand) run_options.parallelism = 2;
+    if (run == &depth3) run_options.pipeline_depth = 3;
+    auto node = Node::Create(run_options, EngineSet{&run->engine, &run->engine});
+    ASSERT_TRUE(node.ok());
+    run->node = std::move(*node);
+    crypto::Drbg rng(77);  // identical tx streams
+    for (int i = 0; i < 24; ++i) {
+      std::string target = "ctr-" + std::to_string(i % 5);
+      ASSERT_TRUE(run->node
+                      ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"),
+                                                       "bump", ToBytes(target)))
+                      .ok());
+    }
   }
 
-  std::vector<Receipt> serial_receipts;
-  ASSERT_TRUE((*serial_node)->PreVerify().ok());
-  while ((*serial_node)->VerifiedPoolSize() > 0) {
-    auto block = (*serial_node)->ProposeBlock();
+  ASSERT_TRUE(hand.node->PreVerify().ok());
+  while (hand.node->VerifiedPoolSize() > 0) {
+    auto block = hand.node->ProposeBlock();
     ASSERT_TRUE(block.ok());
-    auto receipts = (*serial_node)->ApplyBlock(*block);
+    auto receipts = hand.node->ApplyBlock(*block);
     ASSERT_TRUE(receipts.ok()) << receipts.status().ToString();
-    for (Receipt& r : *receipts) serial_receipts.push_back(std::move(r));
+    for (Receipt& r : *receipts) hand.receipts.push_back(std::move(r));
+  }
+  for (Run* run : {&depth0, &depth3}) {
+    auto receipts = run->node->RunPipelined();
+    ASSERT_TRUE(receipts.ok()) << receipts.status().ToString();
+    run->receipts = std::move(*receipts);
   }
 
-  auto piped_receipts = (*piped_node)->RunPipelined();
-  ASSERT_TRUE(piped_receipts.ok()) << piped_receipts.status().ToString();
-
-  EXPECT_GT((*serial_node)->Height(), 1u);  // several blocks, not one
-  EXPECT_EQ((*serial_node)->Height(), (*piped_node)->Height());
-  EXPECT_EQ((*serial_node)->state()->StateRoot(),
-            (*piped_node)->state()->StateRoot());
-  ASSERT_EQ(serial_receipts.size(), piped_receipts->size());
-  for (size_t i = 0; i < serial_receipts.size(); ++i) {
-    EXPECT_EQ(serial_receipts[i].tx_hash, (*piped_receipts)[i].tx_hash);
-    EXPECT_EQ(serial_receipts[i].success, (*piped_receipts)[i].success);
+  EXPECT_GT(hand.node->Height(), 1u);  // several blocks, not one
+  EXPECT_EQ(hand.receipts.size(), 24u);
+  for (Run* run : {&depth0, &depth3}) {
+    ASSERT_EQ(run->node->Height(), hand.node->Height());
+    EXPECT_EQ(run->node->TipHash(), hand.node->TipHash());
+    EXPECT_EQ(run->node->state()->StateRoot(), hand.node->state()->StateRoot());
+    for (uint64_t h = 0; h < hand.node->Height(); ++h) {
+      auto want = hand.node->blocks()->GetByHeight(h);
+      auto got = run->node->blocks()->GetByHeight(h);
+      ASSERT_TRUE(want.ok() && got.ok());
+      EXPECT_EQ(*got, *want) << "block " << h;
+    }
+    ASSERT_EQ(run->receipts.size(), hand.receipts.size());
+    for (size_t i = 0; i < hand.receipts.size(); ++i) {
+      EXPECT_EQ(run->receipts[i].Serialize(), hand.receipts[i].Serialize());
+    }
   }
 }
 
-TEST(PipelineTest, DepthZeroFallsBackToSerialLoop) {
+TEST(PipelineTest, DepthZeroRunsStagesInline) {
   ScriptEngine engine;
   EngineSet engines{&engine, &engine};
   NodeOptions options;  // pipeline_depth = 0
@@ -694,6 +705,192 @@ TEST(PipelineTest, DepthZeroFallsBackToSerialLoop) {
   ASSERT_TRUE(receipts.ok());
   EXPECT_EQ(receipts->size(), 3u);
   EXPECT_EQ((*node)->Height(), 1u);
+}
+
+TEST(PipelineTest, DepthZeroApplyFailureRequeuesTransactions) {
+  ScriptEngine engine;
+  EngineSet engines{&engine, &engine};
+  auto node = Node::Create(NodeOptions{}, engines);  // pipeline_depth = 0
+  ASSERT_TRUE(node.ok());
+  crypto::Drbg rng(10);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*node)
+                    ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"), "write",
+                                                     ToBytes("k" + std::to_string(i))))
+                    .ok());
+  }
+  {
+    fault::FaultPlan plan(14);
+    plan.Arm("fault.chain.apply_block", fault::Trigger{.one_shot = true});
+    auto failed = (*node)->RunPipelined();
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  }
+  // The failed block's transactions are back in the pools, not dropped.
+  EXPECT_EQ((*node)->UnverifiedPoolSize() + (*node)->VerifiedPoolSize(), 3u);
+  EXPECT_EQ((*node)->Height(), 0u);
+  auto retry = (*node)->RunPipelined();
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(retry->size(), 3u);
+  EXPECT_EQ((*node)->Height(), 1u);
+}
+
+/// Counter slot the ScriptEngine "bump" entry increments on `target`.
+uint64_t BumpCounter(Node* node, const std::string& target) {
+  auto value = node->state()->Get(NamedAddress(target), AsByteView("n"));
+  if (!value.ok() || value->size() != 8) return 0;
+  return LoadBe64(value->data());
+}
+
+/// Drives `bumps` increments of one counter through a node with a durable,
+/// fsync-per-group store — by hand (ApplyBlock) or through RunPipelined()
+/// at `depth` — optionally failing the first fsync. Returns the node.
+std::unique_ptr<Node> RunBumpsWithSyncFault(ScriptEngine* engine, bool by_hand,
+                                            uint32_t depth, bool fail_sync,
+                                            const std::filesystem::path& dir) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  NodeOptions options;
+  options.state_wal_dir = dir.string();
+  options.sync_commits = true;
+  options.block_max_bytes = 1;  // one tx per block
+  options.parallelism = 2;
+  options.pipeline_depth = depth;
+  auto created = Node::Create(options, EngineSet{engine, engine});
+  EXPECT_TRUE(created.ok());
+  if (!created.ok()) return nullptr;
+  std::unique_ptr<Node> node = std::move(*created);
+  constexpr int kBumps = 4;
+  crypto::Drbg rng(31);
+  fault::FaultPlan plan(15);
+  if (fail_sync) plan.Arm("fault.storage.wal_sync", fault::Trigger{.one_shot = true});
+  for (int i = 0; i < kBumps; ++i) {
+    EXPECT_TRUE(node->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"),
+                                                     "bump", ToBytes("ctr")))
+                    .ok());
+    if (!by_hand) continue;
+    EXPECT_TRUE(node->PreVerify().ok());
+    auto block = node->ProposeBlock();
+    EXPECT_TRUE(block.ok());
+    if (!block.ok()) return node;
+    auto applied = node->ApplyBlock(*block);
+    if (!applied.ok()) {
+      EXPECT_EQ(applied.status().code(), StatusCode::kUnavailable);
+      // The batch landed before the fsync failed: the block is committed,
+      // so applying it again is refused instead of executing it twice.
+      EXPECT_FALSE(node->ApplyBlock(*block).ok());
+    }
+  }
+  if (!by_hand) {
+    auto first = node->RunPipelined();
+    EXPECT_EQ(first.ok(), !fail_sync);
+    if (!first.ok()) {
+      auto retry = node->RunPipelined();
+      EXPECT_TRUE(retry.ok()) << retry.status().ToString();
+    }
+  }
+  EXPECT_EQ(node->UnverifiedPoolSize() + node->VerifiedPoolSize(), 0u);
+  return node;
+}
+
+TEST(PipelineTest, FailedFsyncNeverReExecutesCommittedBlocks) {
+  const auto root = std::filesystem::temp_directory_path() / "confide_fsync_fault";
+  for (bool by_hand : {true, false}) {
+    SCOPED_TRACE(by_hand ? "ApplyBlock" : "depth 3");
+    const uint32_t depth = by_hand ? 0 : 3;
+    ScriptEngine clean_engine, faulted_engine;
+    auto clean = RunBumpsWithSyncFault(&clean_engine, by_hand, depth,
+                                       /*fail_sync=*/false, root / "clean");
+    auto faulted = RunBumpsWithSyncFault(&faulted_engine, by_hand, depth,
+                                         /*fail_sync=*/true, root / "faulted");
+    ASSERT_TRUE(clean != nullptr && faulted != nullptr);
+    EXPECT_EQ(BumpCounter(clean.get(), "ctr"), 4u);
+    EXPECT_EQ(BumpCounter(faulted.get(), "ctr"), BumpCounter(clean.get(), "ctr"));
+    EXPECT_EQ(faulted->state()->StateRoot(), clean->state()->StateRoot());
+    EXPECT_EQ(faulted->TipHash(), clean->TipHash());
+    EXPECT_EQ(faulted->Height(), clean->Height());
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(PipelineTest, BlockMetricsMatchAtEveryDepthAndCountOnlyCommits) {
+  auto samples = [](const metrics::MetricsSnapshot& snap, const std::string& name) {
+    auto it = snap.histograms.find(name);
+    return it == snap.histograms.end() ? uint64_t(0) : it->second.count;
+  };
+  auto& registry = metrics::MetricsRegistry::Global();
+
+  // Depth > 0 records the same per-block and pre-verify series as ApplyBlock.
+  {
+    ScriptEngine engine;
+    NodeOptions options;
+    options.block_max_bytes = 512;
+    options.parallelism = 2;
+    options.pipeline_depth = 3;
+    auto node = Node::Create(options, EngineSet{&engine, &engine});
+    ASSERT_TRUE(node.ok());
+    crypto::Drbg rng(12);
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE((*node)
+                      ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"), "write",
+                                                       ToBytes("k" + std::to_string(i))))
+                      .ok());
+    }
+    metrics::MetricsSnapshot before = registry.Snapshot();
+    ASSERT_TRUE((*node)->RunPipelined().ok());
+    metrics::MetricsSnapshot after = registry.Snapshot();
+    const uint64_t blocks = (*node)->Height();
+    ASSERT_GT(blocks, 1u);
+    EXPECT_EQ(samples(after, "chain.block.execute.latency_ns") -
+                  samples(before, "chain.block.execute.latency_ns"),
+              blocks);
+    EXPECT_GE(samples(after, "chain.preverify.batch.latency_ns") -
+                  samples(before, "chain.preverify.batch.latency_ns"),
+              1u);
+    EXPECT_EQ(after.counter("chain.block.count") - before.counter("chain.block.count"),
+              blocks);
+    EXPECT_EQ(after.counter("chain.block.tx.count") -
+                  before.counter("chain.block.tx.count"),
+              8u);
+  }
+
+  // A block whose write fails is not counted; its retry is, once.
+  const auto dir = std::filesystem::temp_directory_path() / "confide_metrics_commit";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    ScriptEngine engine;
+    NodeOptions options;
+    options.state_wal_dir = dir.string();
+    auto node = Node::Create(options, EngineSet{&engine, &engine});
+    ASSERT_TRUE(node.ok());
+    crypto::Drbg rng(13);
+    ASSERT_TRUE((*node)
+                    ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"), "write",
+                                                     ToBytes(std::string_view("k"))))
+                    .ok());
+    ASSERT_TRUE((*node)->PreVerify().ok());
+    auto block = (*node)->ProposeBlock();
+    ASSERT_TRUE(block.ok());
+    metrics::MetricsSnapshot before = registry.Snapshot();
+    {
+      fault::FaultPlan plan(16);
+      plan.Arm("fault.storage.wal_torn", fault::Trigger{.one_shot = true, .arg = 0});
+      ASSERT_FALSE((*node)->ApplyBlock(*block).ok());
+    }
+    metrics::MetricsSnapshot failed = registry.Snapshot();
+    EXPECT_EQ(failed.counter("chain.block.count"), before.counter("chain.block.count"));
+    EXPECT_EQ(failed.counter("chain.block.tx.count"),
+              before.counter("chain.block.tx.count"));
+    EXPECT_EQ(samples(failed, "chain.block.txs"), samples(before, "chain.block.txs"));
+    ASSERT_TRUE((*node)->ApplyBlock(*block).ok());
+    metrics::MetricsSnapshot after = registry.Snapshot();
+    EXPECT_EQ(after.counter("chain.block.count"), before.counter("chain.block.count") + 1);
+    EXPECT_EQ(after.counter("chain.block.tx.count"),
+              before.counter("chain.block.tx.count") + 1);
+    EXPECT_EQ(samples(after, "chain.block.txs"), samples(before, "chain.block.txs") + 1);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PipelineTest, EmptyPoolReturnsNoReceipts) {
@@ -805,7 +1002,7 @@ TEST(CheckpointTest, VerifyRejectsSubQuorumAndDuplicateVotes) {
 
 namespace {
 
-/// Drives `blocks` single-transaction blocks through the serial lifecycle.
+/// Drives `blocks` single-transaction blocks through ApplyBlock by hand.
 void RunBlocks(Node* node, crypto::Drbg* rng, int blocks,
                std::vector<crypto::Hash256>* tx_hashes = nullptr) {
   for (int b = 0; b < blocks; ++b) {

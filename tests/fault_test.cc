@@ -1606,11 +1606,14 @@ TEST_F(SyncChaosTest, CheckpointWriteFailureNeverFailsTheBlock) {
   EXPECT_GE(primary_->node()->checkpoints()->LatestHeight(), 6u);
 }
 
-TEST(NodeChaosTest, PipelineStageFaultsSurfaceAndRetryCleanly) {
+/// Arms each `fault.chain.pipeline.*` stage site in turn against a node at
+/// `depth`; depth 0 runs the same stages inline, so it must surface and
+/// recover from the same faults.
+void ExpectPipelineStageFaultsSurfaceAndRetryCleanly(uint32_t depth) {
   SystemOptions options;
   options.seed = 290;
   options.parallelism = 2;
-  options.pipeline_depth = 3;  // pinned: this test is about the pipeline
+  options.pipeline_depth = depth;  // pinned, not taken from the environment
   options.block_max_bytes = 1;
   auto boot = ConfideSystem::BootstrapFirst(options);
   ASSERT_TRUE(boot.ok()) << boot.status().ToString();
@@ -1686,6 +1689,14 @@ TEST(NodeChaosTest, PipelineStageFaultsSurfaceAndRetryCleanly) {
   EXPECT_GE(snap.counter("fault.chain.pipeline.execute.injected"), 1u);
   EXPECT_GE(snap.counter("fault.chain.pipeline.stall.injected"), 1u);
   EXPECT_GE(snap.counter("fault.chain.pipeline.stall.recovered"), 1u);
+}
+
+TEST(NodeChaosTest, PipelineStageFaultsSurfaceAndRetryCleanly) {
+  ExpectPipelineStageFaultsSurfaceAndRetryCleanly(3);
+}
+
+TEST(NodeChaosTest, PipelineStageFaultsSurfaceAndRetryCleanlyAtDepthZero) {
+  ExpectPipelineStageFaultsSurfaceAndRetryCleanly(0);
 }
 
 TEST(NodeChaosTest, WalResetFailureAfterFlushIsIdempotentlyRecoverable) {

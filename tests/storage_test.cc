@@ -77,7 +77,9 @@ TEST(MemTableTest, ForEachVisitsInKeyOrder) {
   std::string prev;
   bool first = true;
   mem.ForEach([&](const std::string& key, const std::optional<Bytes>&) {
-    if (!first) EXPECT_LT(prev, key);
+    if (!first) {
+      EXPECT_LT(prev, key);
+    }
     prev = key;
     first = false;
   });
