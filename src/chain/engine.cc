@@ -9,6 +9,11 @@ Status ContractRegistry::Deploy(StateDb* state, const Address& contract,
   return state->Commit();
 }
 
+bool ContractRegistry::IsReservedKey(ByteView key) {
+  std::string_view name(reinterpret_cast<const char*>(key.data()), key.size());
+  return name == kCodeKey || name == kVmKey;
+}
+
 Result<ContractRegistry::ContractInfo> ContractRegistry::Load(
     StateDb* state, const Address& contract) {
   CONFIDE_ASSIGN_OR_RETURN(Bytes code, state->Get(contract, AsByteView(kCodeKey)));

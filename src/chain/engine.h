@@ -29,6 +29,11 @@ class ContractRegistry {
   static constexpr const char* kCodeKey = "__code__";
   static constexpr const char* kVmKey = "__vm__";
 
+  /// \brief True for kCodeKey and kVmKey. Engines cache code by contract
+  /// address, so code changes only through a deploy; a contract's own
+  /// storage writes to these keys are refused.
+  static bool IsReservedKey(ByteView key);
+
   /// \brief Writes contract code to state (plain form — the confidential
   /// engine wraps this with D-Protocol encryption).
   static Status Deploy(StateDb* state, const Address& contract, VmKind vm,

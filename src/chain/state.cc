@@ -26,6 +26,12 @@ Result<Bytes> CommitStateDb::Get(const Address& contract, ByteView key) const {
   return kv_->Get(full_key);
 }
 
+bool CommitStateDb::IsDurable(const Address& contract, ByteView key) const {
+  // The store holds only finalized blocks: the overlay and the pending
+  // generations are exactly what a failure can still discard.
+  return kv_->Get(StateKey(contract, key)).ok();
+}
+
 std::vector<Result<Bytes>> StateDb::GetMany(
     const std::vector<std::pair<Address, Bytes>>& keys) const {
   std::vector<Result<Bytes>> out;

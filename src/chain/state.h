@@ -50,6 +50,11 @@ class StateDb {
 
   /// \brief Buffered write count (tests).
   virtual size_t PendingWrites() const = 0;
+
+  /// \brief True when `key` of `contract` holds a value in durable state:
+  /// below every overlay and every staged block, where no discarded
+  /// transaction, rerun group or unwound block can take it back.
+  virtual bool IsDurable(const Address& contract, ByteView key) const = 0;
 };
 
 /// \brief Canonical node state over a KvStore.
@@ -72,6 +77,7 @@ class CommitStateDb : public StateDb {
   Status Commit() override;
   void Discard() override;
   size_t PendingWrites() const override;
+  bool IsDurable(const Address& contract, ByteView key) const override;
 
   /// \brief Stages the buffered writes into `batch` and a new pending
   /// generation, and reports the state root they chain to (from the
@@ -135,6 +141,9 @@ class OverlayStateDb : public StateDb {
   Status Commit() override;
   void Discard() override { writes_.clear(); }
   size_t PendingWrites() const override { return writes_.size(); }
+  bool IsDurable(const Address& contract, ByteView key) const override {
+    return parent_->IsDurable(contract, key);
+  }
 
  private:
   StateDb* parent_;

@@ -10,7 +10,6 @@
 #include "confide/freshness.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
-#include "crypto/keccak.h"
 #include "serialize/rlp.h"
 
 namespace confide::core {
@@ -78,11 +77,6 @@ uint64_t ConflictKeyOf(const chain::Address& contract) {
   return LoadBe64(contract.data());
 }
 
-uint32_t SelectorOf(std::string_view entry) {
-  crypto::Hash256 h = crypto::Keccak256::Digest(AsByteView(entry));
-  return LoadBe32(h.data());
-}
-
 /// Per-execution write-back state layer (OPT5). One journal is shared by
 /// reference across every nested SdmEnv frame of a kCsExecute call, so a
 /// callee's writes are visible to its caller immediately (the A→B→A
@@ -148,6 +142,27 @@ class StateJournal {
       entries_[jk] = Entry{contract, ToBytes(key), plain, false, std::nullopt};
     }
     return plain;
+  }
+
+  /// Whether `contract`'s code is in durable state (one ocall): only such
+  /// code may enter the code cache. The host could answer falsely, but it
+  /// could as well serve an authentic older sealed value on any miss.
+  Result<bool> CodeIsDurable(const chain::Address& contract) {
+    RlpWriter req(48);
+    size_t req_list = req.BeginList();
+    req.WriteU64(token_);
+    req.WriteBytes(ByteView(contract.data(), contract.size()));
+    req.EndList(req_list);
+    CONFIDE_ASSIGN_OR_RETURN(
+        Bytes resp,
+        ctx_->Ocall(kOcallCodeDurable, req.buffer(), options_.ocall_semantics));
+    auto reader = RlpReader::AtList(resp);
+    if (!reader.ok()) return Status::Corruption("sdm: bad code-durable response");
+    auto durable = reader->NextU64();
+    if (!durable.ok() || !reader->AtEnd()) {
+      return Status::Corruption("sdm: bad code-durable response");
+    }
+    return durable.value() != 0;
   }
 
   Status Set(const chain::Address& contract, ByteView key, ByteView value) {
@@ -343,12 +358,9 @@ class StateJournal {
 /// state crossings are journaled/batched and nested writes are coherent.
 class SdmEnv : public vm::HostEnv {
  public:
-  using CodeCache = std::unordered_map<std::string, std::pair<Bytes, uint8_t>>;
-
   SdmEnv(const CsOptions& options, StateJournal* journal,
          chain::Address contract, vm::cvm::CvmVm* cvm, vm::evm::EvmVm* evm,
-         uint32_t depth, CsExecuteResponse* stats,
-         std::mutex* code_cache_mutex, CodeCache* code_cache)
+         uint32_t depth, CsExecuteResponse* stats, CodeCache* code_cache)
       : options_(options),
         journal_(journal),
         contract_(contract),
@@ -356,7 +368,6 @@ class SdmEnv : public vm::HostEnv {
         evm_(evm),
         depth_(depth),
         stats_(stats),
-        code_cache_mutex_(code_cache_mutex),
         code_cache_(code_cache) {}
 
   Result<Bytes> GetStorage(ByteView key) override {
@@ -368,6 +379,9 @@ class SdmEnv : public vm::HostEnv {
   }
 
   Status SetStorage(ByteView key, ByteView value) override {
+    if (chain::ContractRegistry::IsReservedKey(key)) {
+      return Status::VmTrap("sdm: contract code is written only by a deploy");
+    }
     ++stats_->set_storage_ops;
     CsMetrics::Get().sdm_set_ops->Increment();
     return journal_->Set(contract_, key, value);
@@ -394,7 +408,7 @@ class SdmEnv : public vm::HostEnv {
     // The callee frame shares this execution's journal, so its writes are
     // immediately visible when control returns to this frame.
     SdmEnv callee_env(options_, journal_, callee, cvm_, evm_, depth_ + 1,
-                      stats_, code_cache_mutex_, code_cache_);
+                      stats_, code_cache_);
     CONFIDE_ASSIGN_OR_RETURN(vm::ExecutionResult result,
                              callee_env.RunContract(entry, args));
     for (Bytes& log : callee_env.logs) logs.push_back(std::move(log));
@@ -403,55 +417,38 @@ class SdmEnv : public vm::HostEnv {
 
   /// Loads this contract's code via the SDM and runs it on the right VM.
   /// With the OPT1 code cache, repeat executions skip the sealed-code
-  /// ocall and its D-Protocol decryption entirely. Code fetches bypass
-  /// the Table-1 state-op counters (contract loading, not contract I/O).
+  /// ocall, its D-Protocol decryption and the module decode entirely.
+  /// Code fetches bypass the Table-1 state-op counters (contract loading,
+  /// not contract I/O).
   Result<vm::ExecutionResult> RunContract(std::string_view entry, ByteView args) {
     // Even a code-cache hit is a read of this contract's state — the
     // executor's cross-group overlap check must see it.
     journal_->NoteContractRead(contract_);
-    std::string cache_key = chain::AddressToString(contract_);
-    Bytes code;
-    Bytes vm_byte;
-    bool cached = false;
-    if (options_.enable_code_cache) {
-      std::lock_guard<std::mutex> lock(*code_cache_mutex_);
-      auto it = code_cache_->find(cache_key);
-      if (it != code_cache_->end()) {
-        code = it->second.first;
-        vm_byte = Bytes{it->second.second};
-        cached = true;
-      }
-    }
-    (cached ? CsMetrics::Get().code_cache_hits : CsMetrics::Get().code_cache_misses)
+    std::shared_ptr<const ContractCode> code;
+    if (options_.enable_code_cache) code = code_cache_->Find(contract_);
+    (code ? CsMetrics::Get().code_cache_hits : CsMetrics::Get().code_cache_misses)
         ->Increment();
-    if (!cached) {
+    if (code == nullptr) {
       count_ops_ = false;
-      auto code_result = GetStorage(AsByteView("__code__"));
-      auto vm_result = GetStorage(AsByteView("__vm__"));
+      auto code_result = GetStorage(AsByteView(chain::ContractRegistry::kCodeKey));
+      auto vm_result = GetStorage(AsByteView(chain::ContractRegistry::kVmKey));
       count_ops_ = true;
       CONFIDE_RETURN_NOT_OK(code_result.status());
       CONFIDE_RETURN_NOT_OK(vm_result.status());
-      code = std::move(*code_result);
-      vm_byte = std::move(*vm_result);
-      if (options_.enable_code_cache && vm_byte.size() == 1) {
-        std::lock_guard<std::mutex> lock(*code_cache_mutex_);
-        (*code_cache_)[cache_key] = {code, vm_byte[0]};
+      if (vm_result->size() != 1) return Status::Corruption("sdm: bad vm kind");
+      chain::VmKind vm = (*vm_result)[0] == 0 ? chain::VmKind::kCvm : chain::VmKind::kEvm;
+      CONFIDE_ASSIGN_OR_RETURN(code, PrepareContractCode(vm, std::move(*code_result),
+                                                         options_.enable_fusion));
+      if (options_.enable_code_cache) {
+        CONFIDE_ASSIGN_OR_RETURN(bool durable, journal_->CodeIsDurable(contract_));
+        if (durable) code_cache_->Insert(contract_, code);
       }
     }
-    if (vm_byte.size() != 1) return Status::Corruption("sdm: bad vm kind");
 
     vm::ExecConfig config;
     config.gas_limit = options_.gas_limit;
-    config.enable_code_cache = options_.enable_code_cache;
     config.enable_fusion = options_.enable_fusion;
-
-    if (vm_byte[0] == 0) {
-      return cvm_->Execute(code, entry, args, this, config);
-    }
-    Bytes calldata(4);
-    StoreBe32(calldata.data(), SelectorOf(entry));
-    Append(&calldata, args);
-    return evm_->Execute(code, calldata, this, config);
+    return RunContractCode(*code, entry, args, this, cvm_, evm_, config);
   }
 
   std::vector<Bytes> logs;
@@ -464,7 +461,6 @@ class SdmEnv : public vm::HostEnv {
   vm::evm::EvmVm* evm_;
   uint32_t depth_;
   CsExecuteResponse* stats_;
-  std::mutex* code_cache_mutex_;
   CodeCache* code_cache_;
   bool count_ops_ = true;
 };
@@ -878,7 +874,7 @@ Result<Bytes> CsEnclave::Execute(ByteView request, tee::EnclaveContext* ctx) {
   }
 
   SdmEnv env(options_, &journal, contract, &cvm_, &evm_,
-             /*depth=*/0, &response, &code_cache_mutex_, &code_cache_);
+             /*depth=*/0, &response, &code_cache_);
 
   chain::Receipt raw_receipt;
   raw_receipt.tx_hash = env_hash;
@@ -897,8 +893,18 @@ Result<Bytes> CsEnclave::Execute(ByteView request, tee::EnclaveContext* ctx) {
     if (*vm_kind > 1) {
       return fail(Status::InvalidArgument("cs: bad vm kind"));
     }
-    Status st = env.SetStorage(AsByteView("__code__"), code.value());
-    if (st.ok()) st = env.SetStorage(AsByteView("__vm__"), Bytes{uint8_t(*vm_kind)});
+    // Code is written once: the code cache keys it by address alone.
+    auto existing = journal.Get(contract, AsByteView(chain::ContractRegistry::kCodeKey));
+    if (existing.ok()) {
+      return fail(Status::AlreadyExists("cs: contract already deployed"));
+    }
+    if (!existing.status().IsNotFound()) return fail(existing.status());
+    Status st = journal.Set(contract, AsByteView(chain::ContractRegistry::kCodeKey),
+                            code.value());
+    if (st.ok()) {
+      st = journal.Set(contract, AsByteView(chain::ContractRegistry::kVmKey),
+                       Bytes{uint8_t(*vm_kind)});
+    }
     if (!st.ok()) return fail(st);
     raw_receipt.success = true;
   } else {

@@ -12,18 +12,18 @@
 ///   * the **SDM** (secure data module) — a vm::HostEnv whose
 ///     GetStorage/SetStorage cross the boundary via ocalls and apply
 ///     D-Protocol sealing, with a memory cache for I/O efficiency;
-///   * both VMs (CONFIDE-VM and EVM) with their code caches (OPT1/OPT4).
+///   * both VMs (CONFIDE-VM and EVM) and the address-keyed code cache of
+///     decoded contracts (OPT1).
 
 #pragma once
 
 #include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "chain/types.h"
 #include "common/lru.h"
+#include "confide/code_cache.h"
 #include "confide/key_manager.h"
 #include "confide/protocol.h"
 #include "tee/enclave.h"
@@ -56,6 +56,9 @@ enum CsOcall : uint64_t {
   /// Batched write-back flush: RLP{token, [[contract, key, sealed]...]} -> ().
   /// Applied atomically by the host: every entry validated before any Put.
   kOcallSetStateBatch = 33,
+  /// Code-cache admission: RLP{token, contract} -> RLP{durable}, 1 when the
+  /// contract's code is in durable state (chain::StateDb::IsDurable).
+  kOcallCodeDurable = 34,
 };
 
 /// \brief Feature toggles matching the paper's optimization ladder.
@@ -131,7 +134,6 @@ class CsEnclave : public tee::Enclave {
   /// \brief Cache statistics (tests/benchmarks).
   uint64_t preverify_cache_hits() const { return cache_hits_; }
   uint64_t preverify_cache_misses() const { return cache_misses_; }
-  vm::cvm::CvmStats cvm_stats() const { return cvm_.stats(); }
 
  private:
   struct CachedMeta {
@@ -181,18 +183,10 @@ class CsEnclave : public tee::Enclave {
   vm::cvm::CvmVm cvm_;
   vm::evm::EvmVm evm_;
 
-  // OPT1 code cache: decrypted contract code by address, so repeat
-  // executions skip the sealed-code ocall + D-Protocol decryption (the
-  // wire-format decode is cached separately inside the VMs).
-  std::mutex code_cache_mutex_;
-  std::unordered_map<std::string, std::pair<Bytes, uint8_t>> code_cache_;
-
- public:
-  /// \brief Accessors used by the in-enclave SDM (internal).
-  std::mutex* code_cache_mutex() { return &code_cache_mutex_; }
-  std::unordered_map<std::string, std::pair<Bytes, uint8_t>>* code_cache() {
-    return &code_cache_;
-  }
+  // OPT1 code cache: decoded contract code by address, so repeat
+  // executions skip the sealed-code ocall, its D-Protocol decryption and
+  // the module decode.
+  CodeCache code_cache_;
 };
 
 }  // namespace confide::core

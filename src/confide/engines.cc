@@ -6,7 +6,6 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "crypto/gcm.h"
-#include "crypto/keccak.h"
 #include "serialize/rlp.h"
 
 namespace confide::core {
@@ -43,11 +42,6 @@ struct EngineMetrics {
 using serialize::RlpReader;
 using serialize::RlpWriter;
 
-uint32_t SelectorOf(std::string_view entry) {
-  crypto::Hash256 h = crypto::Keccak256::Digest(AsByteView(entry));
-  return LoadBe32(h.data());
-}
-
 /// D-Protocol sealed values are iv(12) || ciphertext || tag(16): anything
 /// shorter cannot authenticate and must not reach the overlay. Without the
 /// check a malformed entry would be stored silently and only explode at
@@ -60,20 +54,22 @@ Status ValidateSealedValue(ByteView sealed) {
 }
 
 /// Plain HostEnv for the public engine: state in the clear, nested calls
-/// resolved through the on-chain registry. All frames of one execution
-/// share the touched-contract sets so the executor's cross-group overlap
-/// check sees nested reads/writes (same contract-granularity as the SDM).
+/// resolved through the on-chain registry and the engine's code cache.
+/// All frames of one execution share the touched-contract sets so the
+/// executor's cross-group overlap check sees nested reads/writes (same
+/// contract-granularity as the SDM).
 class PlainEnv : public vm::HostEnv {
  public:
   PlainEnv(chain::StateDb* state, chain::Address contract,
            const EngineOptions& options, vm::cvm::CvmVm* cvm, vm::evm::EvmVm* evm,
-           uint32_t depth, std::set<uint64_t>* read_keys,
+           CodeCache* code_cache, uint32_t depth, std::set<uint64_t>* read_keys,
            std::set<uint64_t>* written_keys)
       : state_(state),
         contract_(contract),
         options_(options),
         cvm_(cvm),
         evm_(evm),
+        code_cache_(code_cache),
         depth_(depth),
         read_keys_(read_keys),
         written_keys_(written_keys) {}
@@ -84,6 +80,9 @@ class PlainEnv : public vm::HostEnv {
   }
 
   Status SetStorage(ByteView key, ByteView value) override {
+    if (chain::ContractRegistry::IsReservedKey(key)) {
+      return Status::VmTrap("public: contract code is written only by a deploy");
+    }
     written_keys_->insert(LoadBe64(contract_.data()));
     state_->Put(contract_, key, ToBytes(value));
     return Status::OK();
@@ -105,8 +104,8 @@ class PlainEnv : public vm::HostEnv {
     std::string entry(reinterpret_cast<const char*>(input.data()), sep);
     ByteView args = (sep < input.size()) ? input.subspan(sep + 1) : ByteView{};
 
-    PlainEnv callee_env(state_, callee, options_, cvm_, evm_, depth_ + 1,
-                        read_keys_, written_keys_);
+    PlainEnv callee_env(state_, callee, options_, cvm_, evm_, code_cache_,
+                        depth_ + 1, read_keys_, written_keys_);
     CONFIDE_ASSIGN_OR_RETURN(vm::ExecutionResult result,
                              callee_env.Run(entry, args));
     for (Bytes& log : callee_env.logs) logs.push_back(std::move(log));
@@ -115,19 +114,22 @@ class PlainEnv : public vm::HostEnv {
 
   Result<vm::ExecutionResult> Run(std::string_view entry, ByteView args) {
     read_keys_->insert(LoadBe64(contract_.data()));  // code load
-    CONFIDE_ASSIGN_OR_RETURN(chain::ContractRegistry::ContractInfo info,
-                             chain::ContractRegistry::Load(state_, contract_));
+    std::shared_ptr<const ContractCode> code;
+    if (options_.enable_code_cache) code = code_cache_->Find(contract_);
+    if (code == nullptr) {
+      CONFIDE_ASSIGN_OR_RETURN(chain::ContractRegistry::ContractInfo info,
+                               chain::ContractRegistry::Load(state_, contract_));
+      CONFIDE_ASSIGN_OR_RETURN(code, PrepareContractCode(info.vm, std::move(info.code),
+                                                         options_.enable_fusion));
+      if (options_.enable_code_cache &&
+          state_->IsDurable(contract_, AsByteView(chain::ContractRegistry::kCodeKey))) {
+        code_cache_->Insert(contract_, code);
+      }
+    }
     vm::ExecConfig config;
     config.gas_limit = options_.gas_limit;
-    config.enable_code_cache = options_.enable_code_cache;
     config.enable_fusion = options_.enable_fusion;
-    if (info.vm == chain::VmKind::kCvm) {
-      return cvm_->Execute(info.code, entry, args, this, config);
-    }
-    Bytes calldata(4);
-    StoreBe32(calldata.data(), SelectorOf(entry));
-    Append(&calldata, args);
-    return evm_->Execute(info.code, calldata, this, config);
+    return RunContractCode(*code, entry, args, this, cvm_, evm_, config);
   }
 
   std::vector<Bytes> logs;
@@ -138,6 +140,7 @@ class PlainEnv : public vm::HostEnv {
   const EngineOptions& options_;
   vm::cvm::CvmVm* cvm_;
   vm::evm::EvmVm* evm_;
+  CodeCache* code_cache_;
   uint32_t depth_;
   std::set<uint64_t>* read_keys_;
   std::set<uint64_t>* written_keys_;
@@ -201,6 +204,16 @@ Result<chain::Receipt> PublicEngine::Execute(const chain::Transaction& tx,
       receipt.status_message = "bad vm kind";
       return receipt;
     }
+    // Code is written once: the code cache keys it by address alone.
+    read_keys.insert(LoadBe64(tx.contract.data()));
+    auto existing = state->Get(tx.contract, AsByteView(chain::ContractRegistry::kCodeKey));
+    if (existing.ok()) {
+      fill_touch();
+      receipt.success = false;
+      receipt.status_message = "contract already deployed";
+      return receipt;
+    }
+    if (!existing.status().IsNotFound()) return existing.status();
     state->Put(tx.contract, AsByteView(chain::ContractRegistry::kCodeKey),
                ToBytes(code));
     state->Put(tx.contract, AsByteView(chain::ContractRegistry::kVmKey),
@@ -211,8 +224,8 @@ Result<chain::Receipt> PublicEngine::Execute(const chain::Transaction& tx,
     return receipt;
   }
 
-  PlainEnv env(state, tx.contract, options_, &cvm_, &evm_, /*depth=*/0,
-               &read_keys, &written_keys);
+  PlainEnv env(state, tx.contract, options_, &cvm_, &evm_, &code_cache_,
+               /*depth=*/0, &read_keys, &written_keys);
   auto result = env.Run(tx.entry, tx.input);
   fill_touch();
   if (!result.ok()) {
@@ -306,6 +319,34 @@ void ConfidentialEngine::RegisterOcalls() {
     } else {
       return value.status();
     }
+    resp.EndList(list);
+    return std::move(resp).Take();
+  });
+
+  platform_->RegisterOcall(kOcallCodeDurable, [this](ByteView payload) -> Result<Bytes> {
+    auto req = RlpReader::AtList(payload);
+    if (!req.ok()) return Status::Corruption("ocall: bad code-durable request");
+    auto token = req->NextU64();
+    auto contract_field = req->NextBytes();
+    if (!token.ok() || !contract_field.ok() || !req->AtEnd()) {
+      return Status::Corruption("ocall: bad code-durable request");
+    }
+    if (contract_field->size() != 20) {
+      return Status::Corruption("ocall: bad contract address");
+    }
+    chain::StateDb* state;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto it = contexts_.find(token.value());
+      if (it == contexts_.end()) return Status::NotFound("ocall: unknown token");
+      state = it->second;
+    }
+    chain::Address contract{};
+    std::copy(contract_field->begin(), contract_field->end(), contract.begin());
+    RlpWriter resp;
+    size_t list = resp.BeginList();
+    resp.WriteU64(
+        state->IsDurable(contract, AsByteView(chain::ContractRegistry::kCodeKey)) ? 1 : 0);
     resp.EndList(list);
     return std::move(resp).Take();
   });

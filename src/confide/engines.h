@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "chain/engine.h"
+#include "confide/code_cache.h"
 #include "confide/cs_enclave.h"
 #include "vm/cvm/interpreter.h"
 #include "vm/evm/evm.h"
@@ -44,12 +45,11 @@ class PublicEngine : public chain::ExecutionEngine {
                                  chain::TxTouchSet* touch) override;
   uint64_t ConflictKey(const chain::Transaction& tx) override;
 
-  vm::cvm::CvmStats cvm_stats() const { return cvm_.stats(); }
-
  private:
   EngineOptions options_;
   vm::cvm::CvmVm cvm_;
   vm::evm::EvmVm evm_;
+  CodeCache code_cache_;  ///< OPT1, like the CS enclave's
 };
 
 /// \brief Confidential-Engine: the untrusted half of CONFIDE. Owns the

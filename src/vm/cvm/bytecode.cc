@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "common/metrics.h"
 #include "serialize/leb128.h"
 
 namespace confide::vm::cvm {
@@ -92,9 +93,10 @@ Result<Module> DecodeModule(ByteView wire, bool fuse) {
   if (wire.size() < 4 || std::memcmp(wire.data(), kMagic, 4) != 0) {
     return Status::Corruption("cvm: bad module magic");
   }
+  static metrics::Counter* decodes = metrics::GetCounter("vm.cvm.module.decode.count");
+  decodes->Increment();
   size_t pos = 4;
   Module module;
-  module.code_hash = crypto::Sha256::Digest(wire);
 
   CONFIDE_ASSIGN_OR_RETURN(uint64_t mem_bytes, ReadUleb128(wire, &pos));
   if (mem_bytes > (256u << 20)) {
@@ -106,8 +108,8 @@ Result<Module> DecodeModule(ByteView wire, bool fuse) {
   for (uint64_t s = 0; s < n_segments; ++s) {
     CONFIDE_ASSIGN_OR_RETURN(uint64_t offset, ReadUleb128(wire, &pos));
     CONFIDE_ASSIGN_OR_RETURN(uint64_t len, ReadUleb128(wire, &pos));
-    if (pos + len > wire.size()) return Status::Corruption("cvm: truncated data segment");
-    if (offset + len > module.memory_bytes) {
+    if (len > wire.size() - pos) return Status::Corruption("cvm: truncated data segment");
+    if (offset > module.memory_bytes || len > module.memory_bytes - offset) {
       return Status::Corruption("cvm: data segment outside memory");
     }
     module.data_segments.emplace_back(

@@ -18,7 +18,6 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "crypto/sha256.h"
 
 namespace confide::vm::cvm {
 
@@ -87,7 +86,6 @@ struct Module {
   std::unordered_map<std::string, uint32_t> exports;
   std::vector<std::pair<uint32_t, Bytes>> data_segments;  ///< (offset, bytes)
   uint32_t memory_bytes = 1 << 20;  ///< fixed linear memory size
-  crypto::Hash256 code_hash{};      ///< hash of the wire bytes
   bool fused = false;               ///< fusion pass applied
 };
 

@@ -1,29 +1,124 @@
 #include "vm/cvm/interpreter.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cstring>
 
 #include "common/endian.h"
+#include "common/metrics.h"
 #include "crypto/keccak.h"
 #include "crypto/sha256.h"
 
 namespace confide::vm::cvm {
 
 // ---------------------------------------------------------------------------
+// Linear-memory pool (§5.3)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Per-thread free list of linear-memory buffers. Buffers are anonymous
+/// mappings, so pages no execution writes are never faulted in, and
+/// resident memory stays at what executions actually touched. A buffer
+/// goes back on the list with the span its last execution dirtied
+/// re-zeroed, so every buffer on the list is all zeros. Nested calls run
+/// while their caller's buffer is out, so each frame gets its own.
+class MemoryPool {
+ public:
+  struct Buffer {
+    uint8_t* data = nullptr;
+    uint64_t capacity = 0;
+  };
+
+  ~MemoryPool() {
+    for (const Buffer& buffer : idle_) munmap(buffer.data, buffer.capacity);
+  }
+
+  static MemoryPool& ForThisThread() {
+    thread_local MemoryPool pool;
+    return pool;
+  }
+
+  Result<Buffer> Take(uint64_t size) {
+    // Most recently returned first: its touched pages are still warm.
+    for (size_t i = idle_.size(); i > 0; --i) {
+      if (idle_[i - 1].capacity >= size) {
+        Buffer buffer = idle_[i - 1];
+        idle_.erase(idle_.begin() + std::ptrdiff_t(i - 1));
+        return buffer;
+      }
+    }
+    constexpr uint64_t kPage = 4096;
+    uint64_t capacity = std::max<uint64_t>((size + kPage - 1) & ~(kPage - 1), kPage);
+    void* data = mmap(nullptr, capacity, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (data == MAP_FAILED) {
+      return Status::ResourceExhausted("cvm: cannot map linear memory");
+    }
+    return Buffer{static_cast<uint8_t*>(data), capacity};
+  }
+
+  void Give(Buffer buffer, uint64_t dirty_begin, uint64_t dirty_end) {
+    if (idle_.size() >= kMaxIdle) {
+      munmap(buffer.data, buffer.capacity);  // unmapped pages hold nothing
+      return;
+    }
+    if (dirty_end > dirty_begin) {
+      std::memset(buffer.data + dirty_begin, 0, dirty_end - dirty_begin);
+      ZeroedBytes()->Increment(dirty_end - dirty_begin);
+    }
+    idle_.push_back(buffer);
+  }
+
+ private:
+  /// Enough for a deep nested-call chain to run without a mapping per call.
+  static constexpr size_t kMaxIdle = 16;
+
+  static metrics::Counter* ZeroedBytes() {
+    static metrics::Counter* counter =
+        metrics::GetCounter("vm.cvm.memory.zeroed_bytes");
+    return counter;
+  }
+
+  std::vector<Buffer> idle_;
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // CvmInstance
 // ---------------------------------------------------------------------------
 
+CvmInstance::~CvmInstance() {
+  if (memory_ == nullptr) return;
+  MemoryPool::ForThisThread().Give({memory_, memory_capacity_}, dirty_begin_,
+                                   dirty_end_);
+}
+
+Status CvmInstance::AcquireMemory(uint64_t size) {
+  CONFIDE_ASSIGN_OR_RETURN(MemoryPool::Buffer buffer,
+                           MemoryPool::ForThisThread().Take(size));
+  memory_ = buffer.data;
+  memory_capacity_ = buffer.capacity;
+  memory_size_ = size;
+  return Status::OK();
+}
+
 Result<ByteView> CvmInstance::MemRead(uint64_t ptr, uint64_t len) const {
-  if (ptr + len > memory_.size() || ptr + len < ptr) {
+  if (ptr + len > memory_size_ || ptr + len < ptr) {
     return Status::VmTrap("memory read out of bounds");
   }
-  return ByteView(memory_.data() + ptr, len);
+  return ByteView(memory_ + ptr, len);
 }
 
 Status CvmInstance::MemWrite(uint64_t ptr, ByteView data) {
-  if (ptr + data.size() > memory_.size() || ptr + data.size() < ptr) {
+  if (ptr + data.size() > memory_size_ || ptr + data.size() < ptr) {
     return Status::VmTrap("memory write out of bounds");
   }
-  std::memcpy(memory_.data() + ptr, data.data(), data.size());
+  if (data.empty()) return Status::OK();
+  std::memcpy(memory_ + ptr, data.data(), data.size());
+  MarkDirty(ptr, ptr + data.size());
   return Status::OK();
 }
 
@@ -132,53 +227,6 @@ uint32_t CvmVm::RegisterHost(HostFunction fn) {
   return uint32_t(host_functions_.size() - 1);
 }
 
-CvmStats CvmVm::stats() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return stats_;
-}
-
-void CvmVm::ResetStats() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  stats_ = CvmStats{};
-}
-
-Result<std::shared_ptr<const Module>> CvmVm::LoadModule(ByteView wire,
-                                                        const ExecConfig& config) {
-  if (config.enable_code_cache) {
-    crypto::Hash256 hash = crypto::Sha256::Digest(wire);
-    std::string key = HexEncode(crypto::HashView(hash)) +
-                      (config.enable_fusion ? "/f" : "/p");
-    {
-      std::lock_guard<std::mutex> lock(cache_mutex_);
-      auto it = code_cache_.find(key);
-      if (it != code_cache_.end()) {
-        ++stats_.cache_hits;
-        return it->second;
-      }
-      ++stats_.cache_misses;
-    }
-    CONFIDE_ASSIGN_OR_RETURN(Module module, DecodeModule(wire, config.enable_fusion));
-    auto shared = std::make_shared<const Module>(std::move(module));
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    code_cache_[key] = shared;
-    return std::shared_ptr<const Module>(shared);
-  }
-  {
-    std::lock_guard<std::mutex> lock(cache_mutex_);
-    ++stats_.cache_misses;
-  }
-  CONFIDE_ASSIGN_OR_RETURN(Module module, DecodeModule(wire, config.enable_fusion));
-  return std::make_shared<const Module>(std::move(module));
-}
-
-Result<ExecutionResult> CvmVm::Execute(ByteView wire, std::string_view entry,
-                                       ByteView input, HostEnv* env,
-                                       const ExecConfig& config) {
-  CONFIDE_ASSIGN_OR_RETURN(std::shared_ptr<const Module> module,
-                           LoadModule(wire, config));
-  return ExecuteModule(*module, entry, input, env, config);
-}
-
 namespace {
 
 struct Frame {
@@ -187,6 +235,12 @@ struct Frame {
   size_t stack_base = 0;   // value-stack height at entry
   size_t locals_base = 0;  // offset into the shared locals arena
 };
+
+// `addr + len > mem_size` would wrap for addresses near 2^64 and let the
+// access through.
+inline bool OutOfBounds(uint64_t addr, uint64_t len, uint64_t mem_size) {
+  return addr > mem_size || mem_size - addr < len;
+}
 
 inline uint64_t EvalCompare(Op op, uint64_t lhs, uint64_t rhs) {
   switch (op) {
@@ -218,9 +272,9 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
   inst.env_ = env;
   inst.input_ = input;
   inst.gas_limit_ = config.gas_limit;
-  inst.memory_.assign(module.memory_bytes, 0);
+  CONFIDE_RETURN_NOT_OK(inst.AcquireMemory(module.memory_bytes));
   for (const auto& [offset, bytes] : module.data_segments) {
-    std::memcpy(inst.memory_.data() + offset, bytes.data(), bytes.size());
+    CONFIDE_RETURN_NOT_OK(inst.MemWrite(offset, bytes));
   }
 
   std::vector<uint64_t> stack;
@@ -237,8 +291,8 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
   locals.resize(entry_fn.param_count + entry_fn.local_count, 0);
   frames.push_back({&entry_fn, 0, 0, 0});
 
-  uint8_t* mem = inst.memory_.data();
-  const uint64_t mem_size = inst.memory_.size();
+  uint8_t* mem = inst.memory_;
+  const uint64_t mem_size = inst.memory_size_;
 
   auto trap = [&](const std::string& what) -> Status {
     return Status::VmTrap("cvm: " + what);
@@ -408,7 +462,7 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
       case Op::kLoad32U: {
         if (stack.empty()) return trap("load on empty stack");
         uint64_t addr = stack.back();
-        if (addr + 4 > mem_size) return trap("memory read out of bounds");
+        if (OutOfBounds(addr, 4, mem_size)) return trap("memory read out of bounds");
         gas += CvmGas::kMemOp;
         stack.back() = LoadLe32(mem + addr);
         break;
@@ -416,7 +470,7 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
       case Op::kLoad64: {
         if (stack.empty()) return trap("load on empty stack");
         uint64_t addr = stack.back();
-        if (addr + 8 > mem_size) return trap("memory read out of bounds");
+        if (OutOfBounds(addr, 8, mem_size)) return trap("memory read out of bounds");
         gas += CvmGas::kMemOp;
         stack.back() = LoadLe64(mem + addr);
         break;
@@ -428,24 +482,27 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
         if (addr >= mem_size) return trap("memory write out of bounds");
         gas += CvmGas::kMemOp;
         mem[addr] = uint8_t(value);
+        inst.MarkDirty(addr, addr + 1);
         break;
       }
       case Op::kStore32: {
         if (stack.size() < 2) return trap("store needs operands");
         uint64_t value = stack.back(); stack.pop_back();
         uint64_t addr = stack.back(); stack.pop_back();
-        if (addr + 4 > mem_size) return trap("memory write out of bounds");
+        if (OutOfBounds(addr, 4, mem_size)) return trap("memory write out of bounds");
         gas += CvmGas::kMemOp;
         StoreLe32(mem + addr, uint32_t(value));
+        inst.MarkDirty(addr, addr + 4);
         break;
       }
       case Op::kStore64: {
         if (stack.size() < 2) return trap("store needs operands");
         uint64_t value = stack.back(); stack.pop_back();
         uint64_t addr = stack.back(); stack.pop_back();
-        if (addr + 8 > mem_size) return trap("memory write out of bounds");
+        if (OutOfBounds(addr, 8, mem_size)) return trap("memory write out of bounds");
         gas += CvmGas::kMemOp;
         StoreLe64(mem + addr, value);
+        inst.MarkDirty(addr, addr + 8);
         break;
       }
       case Op::kMemCopy: {
@@ -459,6 +516,7 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
         }
         gas += CvmGas::kPerByteBulk * (len / 8 + 1);
         std::memmove(mem + dst, mem + src, len);
+        if (len != 0) inst.MarkDirty(dst, dst + len);
         break;
       }
       case Op::kMemFill: {
@@ -471,6 +529,7 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
         }
         gas += CvmGas::kPerByteBulk * (len / 8 + 1);
         std::memset(mem + dst, int(byte), len);
+        if (len != 0) inst.MarkDirty(dst, dst + len);
         break;
       }
       case Op::kMemSize:
@@ -499,9 +558,10 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
       case Op::kFusedConstStore64: {
         if (stack.empty()) return trap("conststore on empty stack");
         uint64_t addr = stack.back(); stack.pop_back();
-        if (addr + 8 > mem_size) return trap("memory write out of bounds");
+        if (OutOfBounds(addr, 8, mem_size)) return trap("memory write out of bounds");
         gas += CvmGas::kMemOp;
         StoreLe64(mem + addr, instr.a);
+        inst.MarkDirty(addr, addr + 8);
         break;
       }
     }

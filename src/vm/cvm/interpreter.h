@@ -2,20 +2,24 @@
 /// \brief CONFIDE-VM bytecode interpreter.
 ///
 /// Features mapped to the paper's optimizations:
-///  * decoded-module **code cache** keyed by code hash (OPT1) — without it
-///    every execution re-parses the LEB128 wire format;
+///  * the interpreter runs an already-decoded Module; the **code cache**
+///    (OPT1) lives with the engines, which key decoded modules by
+///    contract address (`confide/code_cache.h`), so a cached call pays no
+///    decode, hash or copy. With the cache off, every call decodes;
 ///  * **superinstruction fusion** and the reduced dispatch table (OPT4);
 ///  * fixed-size linear memory + value stack (§3.2.1), no growth, so the
-///    enclave working set is bounded and a **memory pool** recycles the
-///    instance buffers across executions (§5.3 "memory pool").
+///    enclave working set is bounded. Linear memory comes from a
+///    per-thread **memory pool** (§5.3): page-backed buffers that are
+///    handed back after each execution with only the byte range that
+///    execution wrote re-zeroed. Never-written pages are never touched,
+///    so a call costs no zero-fill of its whole memory, and nothing one
+///    execution wrote is readable by the next — linear memory is shared
+///    across different users' transactions inside the enclave.
 
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "vm/cvm/bytecode.h"
@@ -51,6 +55,12 @@ enum HostFn : uint64_t {
 /// \brief A running execution's state, visible to host functions.
 class CvmInstance {
  public:
+  CvmInstance(const CvmInstance&) = delete;
+  CvmInstance& operator=(const CvmInstance&) = delete;
+  /// Scrubs what this execution wrote and returns the linear memory to
+  /// the thread's pool — on every exit, traps and out-of-gas included.
+  ~CvmInstance();
+
   /// \brief Bounds-checked linear-memory read.
   Result<ByteView> MemRead(uint64_t ptr, uint64_t len) const;
 
@@ -69,34 +79,36 @@ class CvmInstance {
   friend class CvmVm;
   CvmInstance() = default;
 
-  std::vector<uint8_t> memory_;
+  /// Takes a zeroed linear memory of `size` bytes from the thread's pool.
+  Status AcquireMemory(uint64_t size);
+
+  /// Records [begin, end) as written; every write site calls this, so
+  /// the pool re-zeroes exactly the span this execution dirtied.
+  void MarkDirty(uint64_t begin, uint64_t end) {
+    if (begin < dirty_begin_) dirty_begin_ = begin;
+    if (end > dirty_end_) dirty_end_ = end;
+  }
+
+  uint8_t* memory_ = nullptr;
+  uint64_t memory_size_ = 0;      ///< the module's memory_bytes
+  uint64_t memory_capacity_ = 0;  ///< the pooled buffer's mapped size
+  uint64_t dirty_begin_ = UINT64_MAX;
+  uint64_t dirty_end_ = 0;
   HostEnv* env_ = nullptr;
   ByteView input_;
   Bytes output_;
   uint64_t gas_used_ = 0;
   uint64_t gas_limit_ = 0;
-  uint64_t instructions_ = 0;
-};
-
-/// \brief Statistics exposed for tests/benchmarks.
-struct CvmStats {
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
 };
 
 /// \brief The CONFIDE-VM engine. Thread-safe; one instance can be shared
-/// by concurrent executors (the code cache is internally locked).
+/// by concurrent executors (each thread draws linear memory from its own
+/// pool, and nested host calls each take their own buffer).
 class CvmVm {
  public:
   CvmVm();
 
-  /// \brief Runs `entry` of the wire-format module against `env`.
-  Result<ExecutionResult> Execute(ByteView wire, std::string_view entry,
-                                  ByteView input, HostEnv* env,
-                                  const ExecConfig& config);
-
-  /// \brief Runs an already-decoded module (used by tests and by engines
-  /// that manage their own module cache).
+  /// \brief Runs `entry` of a decoded module (see DecodeModule()).
   Result<ExecutionResult> ExecuteModule(const Module& module, std::string_view entry,
                                         ByteView input, HostEnv* env,
                                         const ExecConfig& config);
@@ -104,18 +116,8 @@ class CvmVm {
   /// \brief Registers a custom host function; returns its index.
   uint32_t RegisterHost(HostFunction fn);
 
-  CvmStats stats() const;
-  void ResetStats();
-
  private:
-  Result<std::shared_ptr<const Module>> LoadModule(ByteView wire, const ExecConfig& config);
-
   std::vector<HostFunction> host_functions_;
-
-  mutable std::mutex cache_mutex_;
-  // Key: code hash hex + fused flag.
-  std::unordered_map<std::string, std::shared_ptr<const Module>> code_cache_;
-  CvmStats stats_;
 };
 
 /// \brief Gas schedule for CONFIDE-VM (uniform base cost, extra for memory

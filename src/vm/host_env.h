@@ -46,8 +46,6 @@ struct ExecutionResult {
 /// \brief Per-execution limits and feature toggles.
 struct ExecConfig {
   uint64_t gas_limit = 100'000'000;
-  /// OPT1: reuse decoded modules keyed by code hash.
-  bool enable_code_cache = true;
   /// OPT4: superinstruction fusion + reduced dispatch table.
   bool enable_fusion = true;
   /// Maximum value-stack depth.

@@ -16,6 +16,7 @@
 #include "crypto/drbg.h"
 #include "serialize/rlp.h"
 #include "storage/lsm_store.h"
+#include "tests/test_util.h"
 
 namespace confide::chain {
 namespace {
@@ -407,8 +408,8 @@ TEST(ExecutorTest, ExecutesAllAndCollectsReceiptsInOrder) {
   CommitStateDb state(MakeKv());
   std::vector<Transaction> txs;
   for (int i = 0; i < 10; ++i) {
-    txs.push_back(MakeSignedTx(&rng, NamedAddress("c" + std::to_string(i % 3)),
-                               "write", ToBytes("key-" + std::to_string(i))));
+    txs.push_back(MakeSignedTx(&rng, NamedAddress(testutil::Numbered("c", i % 3)),
+                               "write", ToBytes(testutil::Numbered("key-", i))));
   }
   BlockExecutor executor(ExecutorOptions{4});
   auto receipts = executor.ExecuteBlock(txs, engines, &state);
@@ -421,8 +422,8 @@ TEST(ExecutorTest, ExecutesAllAndCollectsReceiptsInOrder) {
   EXPECT_EQ(engine.executed.load(), 10);
   ASSERT_TRUE(state.Commit().ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(state.Get(NamedAddress("c" + std::to_string(i % 3)),
-                          ToBytes("key-" + std::to_string(i)))
+    EXPECT_TRUE(state.Get(NamedAddress(testutil::Numbered("c", i % 3)),
+                          ToBytes(testutil::Numbered("key-", i)))
                     .ok());
   }
 }
@@ -454,8 +455,8 @@ TEST(ExecutorTest, ParallelAndSerialProduceSameState) {
   crypto::Drbg rng(7);
   std::vector<Transaction> txs;
   for (int i = 0; i < 40; ++i) {
-    txs.push_back(MakeSignedTx(&rng, NamedAddress("c" + std::to_string(i % 5)),
-                               "write", ToBytes("k" + std::to_string(i))));
+    txs.push_back(MakeSignedTx(&rng, NamedAddress(testutil::Numbered("c", i % 5)),
+                               "write", ToBytes(testutil::Numbered("k", i))));
   }
   auto run = [&](uint32_t parallelism) {
     ScriptEngine engine;
@@ -519,7 +520,7 @@ TEST_F(NodeTest, SubmitVerifyProposeApply) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(node_
                     .SubmitTransaction(MakeSignedTx(&rng_, NamedAddress("c"), "write",
-                                                    ToBytes("k" + std::to_string(i))))
+                                                    ToBytes(testutil::Numbered("k", i))))
                     .ok());
   }
   EXPECT_EQ(node_.UnverifiedPoolSize(), 5u);
@@ -599,7 +600,7 @@ TEST_F(NodeTest, SpvProofRoundTrip) {
   std::vector<Transaction> txs;
   for (int i = 0; i < 4; ++i) {
     txs.push_back(MakeSignedTx(&rng_, NamedAddress("c"), "write",
-                               ToBytes("k" + std::to_string(i))));
+                               ToBytes(testutil::Numbered("k", i))));
     ASSERT_TRUE(node_.SubmitTransaction(txs.back()).ok());
   }
   ASSERT_TRUE(node_.PreVerify().ok());
@@ -647,7 +648,7 @@ TEST(PipelineTest, PipelinedMatchesSerialLifecycle) {
     run->node = std::move(*node);
     crypto::Drbg rng(77);  // identical tx streams
     for (int i = 0; i < 24; ++i) {
-      std::string target = "ctr-" + std::to_string(i % 5);
+      std::string target = testutil::Numbered("ctr-", i % 5);
       ASSERT_TRUE(run->node
                       ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"),
                                                        "bump", ToBytes(target)))
@@ -698,7 +699,7 @@ TEST(PipelineTest, DepthZeroRunsStagesInline) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE((*node)
                     ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"), "write",
-                                                     ToBytes("k" + std::to_string(i))))
+                                                     ToBytes(testutil::Numbered("k", i))))
                     .ok());
   }
   auto receipts = (*node)->RunPipelined();
@@ -716,7 +717,7 @@ TEST(PipelineTest, DepthZeroApplyFailureRequeuesTransactions) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE((*node)
                     ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"), "write",
-                                                     ToBytes("k" + std::to_string(i))))
+                                                     ToBytes(testutil::Numbered("k", i))))
                     .ok());
   }
   {
@@ -833,7 +834,7 @@ TEST(PipelineTest, BlockMetricsMatchAtEveryDepthAndCountOnlyCommits) {
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE((*node)
                       ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"), "write",
-                                                       ToBytes("k" + std::to_string(i))))
+                                                       ToBytes(testutil::Numbered("k", i))))
                       .ok());
     }
     metrics::MetricsSnapshot before = registry.Snapshot();
@@ -1008,7 +1009,7 @@ void RunBlocks(Node* node, crypto::Drbg* rng, int blocks,
   for (int b = 0; b < blocks; ++b) {
     Transaction tx =
         MakeSignedTx(rng, NamedAddress("store"), "write",
-                     ToBytes("key" + std::to_string(node->Height())));
+                     ToBytes(testutil::Numbered("key", node->Height())));
     if (tx_hashes != nullptr) tx_hashes->push_back(tx.Hash());
     ASSERT_TRUE(node->SubmitTransaction(tx).ok());
     ASSERT_TRUE(node->PreVerify().ok());
@@ -1331,7 +1332,7 @@ TEST(SyncTest, RotationReachesLiveProviderBehindDeadOnes) {
   std::vector<std::unique_ptr<SyncProvider>> providers;
   for (int i = 0; i < 5; ++i) {
     providers.push_back(std::make_unique<SyncProvider>(
-        "peer-" + std::to_string(i), provider_node->get()));
+        testutil::Numbered("peer-", i), provider_node->get()));
     client.AddProvider(providers.back().get());
   }
   for (int i = 0; i < 4; ++i) providers[i]->Kill();  // exactly N = 4 dead

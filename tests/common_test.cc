@@ -40,10 +40,11 @@ TEST(StatusTest, AllCodesHaveNames) {
 }
 
 TEST(ResultTest, HoldsValue) {
-  Result<int> r = 42;
+  const Result<int> r = 42;
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 42);
   EXPECT_TRUE(r.status().ok());
+  const int value = *r;
+  EXPECT_EQ(value, 42);
 }
 
 TEST(ResultTest, HoldsError) {

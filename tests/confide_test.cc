@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/endian.h"
 #include "common/metrics.h"
 #include "confide/client.h"
 #include "confide/system.h"
@@ -816,6 +822,300 @@ TEST(ConfideCacheCapTest, PreVerifyCacheHonorsLruCapacity) {
   EXPECT_TRUE((*receipts)[1].success) << (*receipts)[1].status_message;
   snap = metrics::MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(GaugeOr(snap, "confide.preverify_cache.resident", -1), 0);
+}
+
+// ---------------------------------------------------------------------------
+// VM linear memory and the code cache, end to end
+// ---------------------------------------------------------------------------
+
+// keep() leaves the decrypted input in linear memory at a fixed address;
+// dump() of another contract returns whatever sits at that address.
+constexpr const char* kKeepInputSource = R"(
+fn keep() {
+  read_input(32768, 256);
+  return 0;
+}
+fn keep_and_dump() {
+  read_input(32768, 256);
+  write_output(32768, 256);
+  return 0;
+}
+)";
+
+constexpr const char* kDumpSource = R"(
+fn dump() {
+  write_output(32768, 256);
+  return 0;
+}
+)";
+
+// Runs one confidential call per entry, all in one block; returns each
+// decrypted output.
+std::vector<std::string> CallEachAndOpen(
+    ConfideSystem* sys, Client* client,
+    const std::vector<std::tuple<std::string, std::string, Bytes>>& calls) {
+  std::vector<TxKey> keys;
+  for (const auto& [name, entry, input] : calls) {
+    auto call = client->MakeConfidentialTx(NamedAddress(name), entry, input);
+    EXPECT_TRUE(call.ok());
+    EXPECT_TRUE(sys->node()->SubmitTransaction(call->tx).ok());
+    keys.push_back(call->k_tx);
+  }
+  auto receipts = sys->RunToCompletion();
+  EXPECT_TRUE(receipts.ok()) << receipts.status().ToString();
+  std::vector<std::string> outputs;
+  for (size_t i = 0; receipts.ok() && i < receipts->size() && i < keys.size(); ++i) {
+    const chain::Receipt& receipt = (*receipts)[i];
+    EXPECT_TRUE(receipt.success) << receipt.status_message;
+    auto opened = Client::OpenSealedReceipt(keys[i], receipt.output);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    outputs.push_back(opened.ok() ? ToString(opened->output) : "<sealed>");
+  }
+  outputs.resize(calls.size(), "<missing>");
+  return outputs;
+}
+
+TEST_F(ConfideE2eTest, DecryptedInputLeftInVmMemoryIsNotSeenByTheNextTx) {
+  DeployNamed(sys_.get(), client_.get(), "mem.keep", kKeepInputSource);
+  DeployNamed(sys_.get(), client_.get(), "mem.dump", kDumpSource);
+  const std::string secret = "IBAN DE89 3704 0044 0532 0130 00; amount 1,250,000.00";
+  std::string padded = secret;
+  padded.resize(256, '\0');
+  const std::string zeros(256, '\0');
+
+  // The dump reads the span its own run wrote.
+  EXPECT_EQ(CallEachAndOpen(sys_.get(), client_.get(),
+                            {{"mem.keep", "keep_and_dump", ToBytes(secret)}}),
+            std::vector<std::string>{padded});
+  // Next block: another user's tx to another contract sees zeros there.
+  EXPECT_EQ(CallEachAndOpen(sys_.get(), client_.get(),
+                            {{"mem.keep", "keep", ToBytes(secret)}}),
+            std::vector<std::string>{""});
+  EXPECT_EQ(CallEachAndOpen(sys_.get(), client_.get(), {{"mem.dump", "dump", {}}}),
+            std::vector<std::string>{zeros});
+  // Same block, back to back.
+  EXPECT_EQ(CallEachAndOpen(sys_.get(), client_.get(),
+                            {{"mem.keep", "keep", ToBytes(secret)},
+                             {"mem.dump", "dump", {}}}),
+            (std::vector<std::string>{"", zeros}));
+}
+
+TEST(ConfideCodeCacheTest, CachedCallsDecodeNothingUncachedCallsDecodeEach) {
+  metrics::Counter* decodes = metrics::GetCounter("vm.cvm.module.decode.count");
+  for (bool cache : {true, false}) {
+    SystemOptions options;
+    options.seed = 340;
+    options.cs.enable_code_cache = cache;
+    options.public_engine.enable_code_cache = cache;
+    auto sys = ConfideSystem::BootstrapFirst(options);
+    ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+    Client client(900, (*sys)->pk_tx());
+    DeployNamed(sys->get(), &client, "cc.conf", kCounterSource);
+    auto code = lang::Compile(kCounterSource, lang::VmTarget::kCvm);
+    ASSERT_TRUE(code.ok());
+    chain::Address pub = NamedAddress("cc.pub");
+    ASSERT_TRUE((*sys)->node()
+                    ->SubmitTransaction(client.MakePublicTx(
+                        pub, "__deploy__", DeployPayload(chain::VmKind::kCvm, *code)))
+                    .ok());
+    ASSERT_TRUE((*sys)->RunToCompletion().ok());
+
+    auto call_both = [&] {
+      auto conf = client.MakeConfidentialTx(NamedAddress("cc.conf"), "increment", Bytes{});
+      ASSERT_TRUE(conf.ok());
+      ASSERT_TRUE((*sys)->node()->SubmitTransaction(conf->tx).ok());
+      ASSERT_TRUE((*sys)->node()
+                      ->SubmitTransaction(client.MakePublicTx(pub, "increment", Bytes{}))
+                      .ok());
+      auto receipts = (*sys)->RunToCompletion();
+      ASSERT_TRUE(receipts.ok());
+      for (const auto& receipt : *receipts) {
+        EXPECT_TRUE(receipt.success) << receipt.status_message;
+      }
+    };
+    call_both();  // warm: each engine decodes its contract once
+    uint64_t before = decodes->Value();
+    for (int i = 0; i < 3; ++i) call_both();
+    // OPT1 on: no decode at all. Off (Fig. 12's BASE rung): every call.
+    EXPECT_EQ(decodes->Value() - before, cache ? 0u : 6u) << "cache " << cache;
+  }
+}
+
+// Nested-call targets for the same-block deploy test below.
+constexpr const char* kTargetCallerSource = R"(
+fn hit() {
+  var out = alloc(32);
+  var n = call_named("cc.target", "read", out, 0, out, 32);
+  write_output(out, n);
+  return 0;
+}
+)";
+constexpr const char* kFreshCallerSource = R"(
+fn hit() {
+  var out = alloc(32);
+  var n = call_named("cc.fresh", "read", out, 0, out, 32);
+  write_output(out, n);
+  return 0;
+}
+)";
+constexpr const char* kOtherReadSource = R"(
+fn read() {
+  write_output("other", 5);
+  return 0;
+}
+)";
+
+struct BlockCall {
+  std::string name;
+  std::string entry;
+  Bytes input;
+};
+
+// Submits `calls` as one block and describes each receipt as "ok:<output>"
+// (confidential outputs opened) or "failed".
+std::vector<std::string> RunOneBlock(ConfideSystem* sys, Client* client,
+                                     bool confidential,
+                                     const std::vector<BlockCall>& calls) {
+  std::vector<std::optional<TxKey>> keys;
+  for (const BlockCall& call : calls) {
+    if (confidential) {
+      auto sub = client->MakeConfidentialTx(NamedAddress(call.name), call.entry, call.input);
+      EXPECT_TRUE(sub.ok());
+      EXPECT_TRUE(sys->node()->SubmitTransaction(sub->tx).ok());
+      keys.push_back(sub->k_tx);
+    } else {
+      EXPECT_TRUE(sys->node()
+                      ->SubmitTransaction(client->MakePublicTx(NamedAddress(call.name),
+                                                               call.entry, call.input))
+                      .ok());
+      keys.push_back(std::nullopt);
+    }
+  }
+  auto receipts = sys->RunToCompletion();
+  EXPECT_TRUE(receipts.ok()) << receipts.status().ToString();
+  std::vector<std::string> out;
+  for (size_t i = 0; receipts.ok() && i < receipts->size() && i < keys.size(); ++i) {
+    const chain::Receipt& receipt = (*receipts)[i];
+    if (!receipt.success) {
+      out.push_back("failed");
+      continue;
+    }
+    Bytes output = receipt.output;
+    if (keys[i].has_value()) {
+      auto opened = Client::OpenSealedReceipt(*keys[i], receipt.output);
+      EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+      output = opened.ok() ? opened->output : Bytes{};
+    }
+    out.push_back("ok:" + ToString(output));
+  }
+  out.resize(calls.size(), "<missing>");
+  return out;
+}
+
+TEST(ConfideCodeCacheTest, SameBlockDeploysLeaveNoStaleCodeInTheCache) {
+  // Every conflict group runs against the same parent snapshot, and a
+  // conflicted group reruns serially after the others, so code read in a
+  // block may belong to a deploy that a rerun discards. Code is cached by
+  // address, so a node with the cache must still match a node without it:
+  // a redeploy is refused, and a same-block deploy's code stays uncached.
+  const uint64_t fresh_key = LoadBe64(NamedAddress("cc.fresh").data());
+  std::string early;  // its group precedes cc.fresh's in the serial rerun
+  for (int i = 0; i < 64 && early.empty(); ++i) {
+    std::string name = "cc.early." + std::to_string(i);
+    if (LoadBe64(NamedAddress(name).data()) < fresh_key) early = name;
+  }
+  ASSERT_FALSE(early.empty());
+  auto deploy = [](const char* source) {
+    auto code = lang::Compile(source, lang::VmTarget::kCvm);
+    EXPECT_TRUE(code.ok()) << code.status().ToString();
+    return DeployPayload(chain::VmKind::kCvm, code.ok() ? *code : Bytes{});
+  };
+  const std::vector<std::vector<BlockCall>> blocks = {
+      {{"cc.target", "__deploy__", deploy(kSharedCounterSource)},
+       {"cc.caller", "__deploy__", deploy(kTargetCallerSource)},
+       {early, "__deploy__", deploy(kFreshCallerSource)}},
+      {{"cc.target", "bump", {}}},
+      // One block: a redeploy of cc.target beside a nested call to it, and
+      // a first deploy of cc.fresh beside a nested call to it from a group
+      // that reruns first.
+      {{"cc.target", "__deploy__", deploy(kOtherReadSource)},
+       {"cc.caller", "hit", {}},
+       {"cc.fresh", "__deploy__", deploy(kSharedCounterSource)},
+       {"cc.fresh", "bump", {}},
+       {early, "hit", {}}},
+      {{"cc.target", "read", {}},
+       {"cc.caller", "hit", {}},
+       {"cc.fresh", "read", {}},
+       {early, "hit", {}}},
+  };
+
+  for (bool confidential : {false, true}) {
+    std::vector<std::vector<std::string>> outcomes[2];
+    for (bool cache : {false, true}) {
+      SystemOptions options;
+      options.seed = 350;
+      options.parallelism = 4;
+      options.block_max_bytes = 1 << 20;
+      options.cs.enable_code_cache = cache;
+      options.public_engine.enable_code_cache = cache;
+      auto sys = ConfideSystem::BootstrapFirst(options);
+      ASSERT_TRUE(sys.ok()) << sys.status().ToString();
+      Client client(950, (*sys)->pk_tx());
+      for (const auto& block : blocks) {
+        outcomes[cache].push_back(RunOneBlock(sys->get(), &client, confidential, block));
+      }
+    }
+    EXPECT_EQ(outcomes[true], outcomes[false]) << "confidential " << confidential;
+    const auto& with_cache = outcomes[true];
+    ASSERT_EQ(with_cache.size(), 4u);
+    EXPECT_EQ(with_cache[2][0], "failed") << "a redeploy must be refused";
+    EXPECT_EQ(with_cache[2][1], "ok:1");
+    EXPECT_EQ(with_cache[3],
+              (std::vector<std::string>{"ok:1", "ok:1", "ok:1", "ok:1"}))
+        << "confidential " << confidential;
+  }
+}
+
+TEST_F(ConfideE2eTest, ContractCannotRewriteItsOwnCode) {
+  // Code is cached by address, so it may change only through a deploy: a
+  // storage write to the code keys fails the transaction on both engines
+  // and the deployed code keeps running.
+  constexpr const char* kRewriteSource = R"(
+fn rewrite() {
+  var key = "__code__";
+  var buf = alloc(8);
+  set_storage(key, strlen(key), buf, 8);
+  return 0;
+}
+fn ping() {
+  var out = "pong";
+  write_output(out, 4);
+  return 0;
+}
+)";
+  DeployNamed(sys_.get(), client_.get(), "rw.conf", kRewriteSource);
+  EXPECT_EQ(CallAndOpen(sys_.get(), client_.get(), "rw.conf", "ping"), "pong");
+  EXPECT_EQ(CallAndOpen(sys_.get(), client_.get(), "rw.conf", "rewrite"), "<failed>");
+  EXPECT_EQ(CallAndOpen(sys_.get(), client_.get(), "rw.conf", "ping"), "pong");
+
+  auto code = lang::Compile(kRewriteSource, lang::VmTarget::kCvm);
+  ASSERT_TRUE(code.ok());
+  chain::Address pub = NamedAddress("rw.pub");
+  auto run_public = [&](const std::string& entry, const Bytes& input) {
+    EXPECT_TRUE(
+        sys_->node()->SubmitTransaction(client_->MakePublicTx(pub, entry, input)).ok());
+    auto receipts = sys_->RunToCompletion();
+    EXPECT_TRUE(receipts.ok() && receipts->size() == 1u);
+    return receipts.ok() && receipts->size() == 1u ? (*receipts)[0] : chain::Receipt{};
+  };
+  EXPECT_TRUE(run_public("__deploy__", DeployPayload(chain::VmKind::kCvm, *code)).success);
+  chain::Receipt rewrite = run_public("rewrite", {});
+  EXPECT_FALSE(rewrite.success);
+  EXPECT_NE(rewrite.status_message.find("deploy"), std::string::npos)
+      << rewrite.status_message;
+  chain::Receipt ping = run_public("ping", {});
+  EXPECT_TRUE(ping.success) << ping.status_message;
+  EXPECT_EQ(ToString(ping.output), "pong");
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "common/metrics.h"
+#include "serialize/leb128.h"
 #include "tests/test_util.h"
 #include "vm/cvm/builder.h"
 #include "vm/cvm/interpreter.h"
@@ -7,11 +11,11 @@
 namespace confide::vm::cvm {
 namespace {
 
+using testutil::ExecuteWire;
 using testutil::MapHostEnv;
 
-ExecConfig NoCacheConfig() {
+ExecConfig UnfusedConfig() {
   ExecConfig config;
-  config.enable_code_cache = false;
   config.enable_fusion = false;
   return config;
 }
@@ -32,7 +36,7 @@ TEST(CvmTest, ConstReturn) {
   fb.I64Const(42).Return();
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->return_value, 42u);
 }
@@ -57,7 +61,7 @@ TEST(CvmTest, Arithmetic) {
   for (const Case& c : cases) {
     FunctionBuilder fb(0, 0);
     fb.I64Const(c.lhs).I64Const(c.rhs).Emit(c.op).Return();
-    auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+    auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
     ASSERT_TRUE(result.ok()) << int(c.op);
     EXPECT_EQ(int64_t(result->return_value), c.expected) << int(c.op);
   }
@@ -79,7 +83,7 @@ TEST(CvmTest, Comparisons) {
   for (const Case& c : cases) {
     FunctionBuilder fb(0, 0);
     fb.I64Const(c.lhs).I64Const(c.rhs).Emit(c.op).Return();
-    auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+    auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->return_value, c.expected) << int(c.op);
   }
@@ -90,7 +94,7 @@ TEST(CvmTest, DivideByZeroTraps) {
   fb.I64Const(1).I64Const(0).Emit(Op::kDivU).Return();
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsVmTrap());
 }
@@ -110,7 +114,7 @@ TEST(CvmTest, LoopSumsWithBranches) {
 
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->return_value, 4950u);
 }
@@ -131,11 +135,11 @@ TEST(CvmTest, FusionPreservesSemantics) {
 
   MapHostEnv env;
   CvmVm vm;
-  ExecConfig plain = NoCacheConfig();
-  ExecConfig fused = NoCacheConfig();
+  ExecConfig plain = UnfusedConfig();
+  ExecConfig fused = UnfusedConfig();
   fused.enable_fusion = true;
-  auto r1 = vm.Execute(wire, "main", {}, &env, plain);
-  auto r2 = vm.Execute(wire, "main", {}, &env, fused);
+  auto r1 = ExecuteWire(&vm, wire, "main", {}, &env, plain);
+  auto r2 = ExecuteWire(&vm, wire, "main", {}, &env, fused);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_EQ(r1->return_value, r2->return_value);
   EXPECT_EQ(r1->return_value, 499500u);
@@ -160,7 +164,7 @@ TEST(CvmTest, FunctionCallsWithArguments) {
 
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(EncodeModule(mb.Finish()), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, EncodeModule(mb.Finish()), "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->return_value, 33u);
 }
@@ -174,7 +178,7 @@ TEST(CvmTest, RecursionDepthLimit) {
   mb.Export("main", *idx);
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(EncodeModule(mb.Finish()), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, EncodeModule(mb.Finish()), "main", {}, &env, UnfusedConfig());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsVmTrap());
 }
@@ -186,9 +190,9 @@ TEST(CvmTest, GasLimitStopsRunawayLoop) {
   fb.Br(loop);
   MapHostEnv env;
   CvmVm vm;
-  ExecConfig config = NoCacheConfig();
+  ExecConfig config = UnfusedConfig();
   config.gas_limit = 10000;
-  auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, config);
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
@@ -202,7 +206,7 @@ TEST(CvmTest, MemoryLoadStoreAndDataSegments) {
   fb2.I64Const(200).LocalGet(0).Emit(Op::kStore64);
   fb2.I64Const(200).Emit(Op::kLoad64).Return();
   auto wire = BuildSingle(fb2, {{100, ToBytes(std::string_view("hi"))}});
-  auto result = vm.Execute(wire, "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, wire, "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->return_value, uint64_t('h'));
 }
@@ -212,9 +216,37 @@ TEST(CvmTest, OutOfBoundsMemoryTraps) {
   fb.I64Const(int64_t(1) << 40).Emit(Op::kLoad64).Return();
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsVmTrap());
+}
+
+TEST(CvmTest, AccessNearTopOfAddressSpaceTraps) {
+  // addr + width wraps past 2^64 here; the bounds check must not.
+  const uint64_t addr = ~uint64_t(0) - 3;
+  for (Op op : {Op::kLoad32U, Op::kLoad64}) {
+    FunctionBuilder fb(0, 0);
+    fb.I64Const(int64_t(addr)).Emit(op).Return();
+    MapHostEnv env;
+    CvmVm vm;
+    auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
+    ASSERT_FALSE(result.ok()) << int(op);
+    EXPECT_TRUE(result.status().IsVmTrap()) << int(op);
+  }
+  for (Op op : {Op::kStore32, Op::kStore64}) {
+    for (bool fusion : {false, true}) {  // fused: I64Const + Store64 -> ConstStore64
+      FunctionBuilder fb(0, 0);
+      fb.I64Const(int64_t(addr)).I64Const(7).Emit(op);
+      fb.I64Const(0).Return();
+      MapHostEnv env;
+      CvmVm vm;
+      ExecConfig config = UnfusedConfig();
+      config.enable_fusion = fusion;
+      auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, config);
+      ASSERT_FALSE(result.ok()) << int(op) << " fusion " << fusion;
+      EXPECT_TRUE(result.status().IsVmTrap()) << int(op) << " fusion " << fusion;
+    }
+  }
 }
 
 TEST(CvmTest, MemCopyAndFill) {
@@ -225,7 +257,7 @@ TEST(CvmTest, MemCopyAndFill) {
   fb.I64Const(16).Emit(Op::kLoad64).Return();
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->return_value, 0xABABABABABABABABull);
 }
@@ -241,7 +273,7 @@ TEST(CvmTest, HostStorageRoundTrip) {
                                {8, ToBytes(std::string_view("val"))}});
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(wire, "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, wire, "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->return_value, 3u);  // stored length
   EXPECT_EQ(ToString(env.storage["k"]), "val");
@@ -254,7 +286,7 @@ TEST(CvmTest, HostGetStorageMissingReturnsZero) {
   auto wire = BuildSingle(fb, {{0, ToBytes(std::string_view("k"))}});
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(wire, "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, wire, "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->return_value, 0u);
 }
@@ -267,7 +299,7 @@ TEST(CvmTest, HostHashFunctions) {
   auto wire = BuildSingle(fb, {{0, ToBytes(std::string_view("abc"))}});
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(wire, "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, wire, "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->return_value, 0xbau);
 }
@@ -280,8 +312,8 @@ TEST(CvmTest, InputAndOutput) {
   fb.CallHost(kHostInputSize).Return();
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "main", AsByteView("payload"), &env,
-                           NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", AsByteView("payload"), &env,
+                           UnfusedConfig());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->return_value, 7u);
   EXPECT_EQ(ToString(result->output), "payload");
@@ -292,7 +324,7 @@ TEST(CvmTest, AbortTraps) {
   fb.I64Const(3).CallHost(kHostAbort).Return();
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsVmTrap());
 }
@@ -311,7 +343,7 @@ TEST(CvmTest, CrossContractCallThroughEnv) {
     return ToBytes(std::string_view("result!"));
   };
   CvmVm vm;
-  auto result = vm.Execute(wire, "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, wire, "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->return_value, 7u);
   EXPECT_EQ(env.call_count, 1);
@@ -355,21 +387,35 @@ TEST(CvmTest, DecodeRejectsCorruptModules) {
   FunctionBuilder bad(0, 1);
   bad.Emit(Op::kLocalGet, 5).Return();
   EXPECT_FALSE(DecodeModule(BuildSingle(bad), false).ok());
+
+  // Data-segment lengths whose end wraps past 2^64.
+  for (uint64_t len : {~uint64_t(0), ~uint64_t(0) - 8}) {
+    Bytes huge(wire.begin(), wire.begin() + 4);  // magic
+    serialize::WriteUleb128(&huge, 1 << 20);     // memory bytes
+    serialize::WriteUleb128(&huge, 1);           // one segment
+    serialize::WriteUleb128(&huge, 16);          // offset
+    serialize::WriteUleb128(&huge, len);
+    huge.resize(huge.size() + 32, 0);
+    EXPECT_FALSE(DecodeModule(huge, false).ok()) << len;
+  }
 }
 
-TEST(CvmTest, CodeCacheHitsOnRepeatExecution) {
+TEST(CvmTest, ExecuteModuleNeverDecodes) {
+  // The VM keeps no module cache and runs only decoded modules: a caller
+  // that reuses code keeps the Module (the engines' address-keyed code
+  // cache does), so only DecodeModule counts a decode.
   FunctionBuilder fb(0, 0);
   fb.I64Const(1).Return();
-  Bytes wire = BuildSingle(fb);
   MapHostEnv env;
   CvmVm vm;
-  ExecConfig config;  // cache on
+  metrics::Counter* decodes = metrics::GetCounter("vm.cvm.module.decode.count");
+  uint64_t before = decodes->Value();
+  auto module = DecodeModule(BuildSingle(fb), true);
+  ASSERT_TRUE(module.ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(vm.Execute(wire, "main", {}, &env, config).ok());
+    ASSERT_TRUE(vm.ExecuteModule(*module, "main", {}, &env, ExecConfig{}).ok());
   }
-  auto stats = vm.stats();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 4u);
+  EXPECT_EQ(decodes->Value() - before, 1u);
 }
 
 TEST(CvmTest, UnknownEntryRejected) {
@@ -377,7 +423,7 @@ TEST(CvmTest, UnknownEntryRejected) {
   fb.I64Const(1).Return();
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "missing", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "missing", {}, &env, UnfusedConfig());
   EXPECT_TRUE(result.status().IsNotFound());
 }
 
@@ -388,17 +434,264 @@ TEST(CvmTest, SelectAndDropAndTee) {
   fb.LocalGet(0).Return();
   MapHostEnv env;
   CvmVm vm;
-  auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, NoCacheConfig());
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->return_value, 10u);
 }
 
-// Property sweep: fusion on/off x cache on/off must agree for a family of
-// loop programs.
+// ---------------------------------------------------------------------------
+// Linear-memory isolation. Executions on one thread share pooled buffers,
+// so whatever one execution wrote must read as zero in the next one —
+// however the first one ended.
+// ---------------------------------------------------------------------------
+
+// Appends: acc |= load64(a) for a in [begin, end) step 8.
+void EmitOrScan(FunctionBuilder* fb, uint64_t begin, uint64_t end,
+                uint32_t addr_local, uint32_t acc_local) {
+  auto loop = fb->NewLabel();
+  auto done = fb->NewLabel();
+  fb->I64Const(int64_t(begin)).LocalSet(addr_local);
+  fb->Bind(loop);
+  fb->LocalGet(addr_local).I64Const(int64_t(end)).Emit(Op::kGeU).BrIf(done);
+  fb->LocalGet(acc_local).LocalGet(addr_local).Emit(Op::kLoad64).Emit(Op::kOr);
+  fb->LocalSet(acc_local);
+  fb->LocalGet(addr_local).I64Const(8).Emit(Op::kAdd).LocalSet(addr_local);
+  fb->Br(loop);
+  fb->Bind(done);
+}
+
+// A module of `memory_bytes` whose main returns the OR of every word of
+// its memory past its own `data` (which sits at offset 0).
+Bytes ScanModule(uint32_t memory_bytes, Bytes data = {}) {
+  FunctionBuilder fb(0, 2);
+  EmitOrScan(&fb, (data.size() + 7) & ~size_t(7), memory_bytes, 0, 1);
+  fb.LocalGet(1).Return();
+  ModuleBuilder mb;
+  auto idx = mb.AddFunction(fb);
+  EXPECT_TRUE(idx.ok());
+  mb.Export("main", *idx);
+  mb.SetMemoryBytes(memory_bytes);
+  if (!data.empty()) mb.AddData(0, std::move(data));
+  return EncodeModule(mb.Finish());
+}
+
+// Writes a recognizable pattern through every in-module write site: the
+// three store widths, MemFill and MemCopy.
+void EmitDirtyingWrites(FunctionBuilder* fb) {
+  fb->I64Const(1000).I64Const(0x5ec7e75ec7e7).Emit(Op::kStore64);
+  fb->I64Const(1012).I64Const(0x5ec7e7).Emit(Op::kStore32);
+  fb->I64Const(1017).I64Const(0x5e).Emit(Op::kStore8);
+  fb->I64Const(4096).I64Const(0x77).I64Const(300).Emit(Op::kMemFill);
+  fb->I64Const(9000).I64Const(4096).I64Const(300).Emit(Op::kMemCopy);
+}
+
+uint64_t ScanAfter(CvmVm* vm, uint32_t memory_bytes = 1 << 20) {
+  MapHostEnv env;
+  auto result = ExecuteWire(vm, ScanModule(memory_bytes), "main", {}, &env, UnfusedConfig());
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? result->return_value : ~uint64_t(0);
+}
+
+TEST(CvmIsolationTest, ScanSeesDirtyingWritesInItsOwnRun) {
+  // The scan is a valid detector: it reports the writes of its own run.
+  FunctionBuilder fb(0, 2);
+  EmitDirtyingWrites(&fb);
+  EmitOrScan(&fb, 0, 1 << 20, 0, 1);
+  fb.LocalGet(1).Return();
+  MapHostEnv env;
+  CvmVm vm;
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
+  ASSERT_TRUE(result.ok());
+  EXPECT_NE(result->return_value, 0u);
+}
+
+TEST(CvmIsolationTest, CompletedRunLeavesNothing) {
+  // One write site per run, so a site that fails to record its span is
+  // not masked by another site's span.
+  struct Site {
+    const char* name;
+    bool fusion;
+    std::function<void(FunctionBuilder*)> emit;
+  };
+  const Site sites[] = {
+      {"store64", false,
+       [](FunctionBuilder* fb) { fb->I64Const(5000).I64Const(-1).Emit(Op::kStore64); }},
+      {"store32", false,
+       [](FunctionBuilder* fb) { fb->I64Const(5000).I64Const(-1).Emit(Op::kStore32); }},
+      {"store8", false,
+       [](FunctionBuilder* fb) { fb->I64Const(5000).I64Const(-1).Emit(Op::kStore8); }},
+      {"const-store64 (fused)", true,
+       [](FunctionBuilder* fb) { fb->I64Const(5000).I64Const(-1).Emit(Op::kStore64); }},
+      {"memfill", false,
+       [](FunctionBuilder* fb) {
+         fb->I64Const(5000).I64Const(0x77).I64Const(300).Emit(Op::kMemFill);
+       }},
+      {"memcopy", false,
+       [](FunctionBuilder* fb) {
+         // Source bytes come from a data segment at 0 (recorded itself).
+         fb->I64Const(5000).I64Const(0).I64Const(8).Emit(Op::kMemCopy);
+       }},
+  };
+  MapHostEnv env;
+  CvmVm vm;
+  for (const Site& site : sites) {
+    FunctionBuilder fb(0, 0);
+    site.emit(&fb);
+    fb.I64Const(0).Return();
+    ExecConfig config = UnfusedConfig();
+    config.enable_fusion = site.fusion;
+    Bytes wire = BuildSingle(fb, {{0, ToBytes(std::string_view("copied!!"))}});
+    ASSERT_TRUE(ExecuteWire(&vm, wire, "main", {}, &env, config).ok()) << site.name;
+    EXPECT_EQ(ScanAfter(&vm), 0u) << site.name;
+  }
+}
+
+TEST(CvmIsolationTest, TrappedRunLeavesNothing) {
+  FunctionBuilder fb(0, 0);
+  EmitDirtyingWrites(&fb);
+  fb.Emit(Op::kUnreachable);
+  MapHostEnv env;
+  CvmVm vm;
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, UnfusedConfig());
+  ASSERT_TRUE(result.status().IsVmTrap());
+  EXPECT_EQ(ScanAfter(&vm), 0u);
+}
+
+TEST(CvmIsolationTest, OutOfGasRunLeavesNothing) {
+  FunctionBuilder fb(0, 0);
+  EmitDirtyingWrites(&fb);
+  auto spin = fb.NewLabel();
+  fb.Bind(spin);
+  fb.Br(spin);
+  MapHostEnv env;
+  CvmVm vm;
+  ExecConfig config = UnfusedConfig();
+  config.gas_limit = 10'000;
+  auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, config);
+  ASSERT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ScanAfter(&vm), 0u);
+}
+
+TEST(CvmIsolationTest, HostWritesLeaveNothing) {
+  // read_input, sha256 and get_storage write through MemWrite.
+  FunctionBuilder fb(0, 0);
+  fb.I64Const(20000).I64Const(4096).CallHost(kHostReadInput).Emit(Op::kDrop);
+  fb.I64Const(20000).I64Const(13).I64Const(30000).CallHost(kHostSha256).Emit(Op::kDrop);
+  fb.I64Const(0).I64Const(1).I64Const(40000).I64Const(100);
+  fb.CallHost(kHostGetStorage).Return();
+  MapHostEnv env;
+  env.storage["k"] = ToBytes(std::string_view("stored secret"));
+  CvmVm vm;
+  auto wire = BuildSingle(fb, {{0, ToBytes(std::string_view("k"))}});
+  auto result =
+      ExecuteWire(&vm, wire, "main", AsByteView("decrypted in"), &env, UnfusedConfig());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->return_value, 13u);
+  EXPECT_EQ(ScanAfter(&vm), 0u);
+}
+
+TEST(CvmIsolationTest, NestedCallsDoNotShareMemory) {
+  // Caller writes, then calls; the callee (a nested execution on the same
+  // thread) scans its memory, writes, and returns the scan. The caller
+  // then returns what it reads where the callee wrote.
+  CvmVm vm;
+  FunctionBuilder callee_fn(0, 2);
+  EmitOrScan(&callee_fn, 0, 1 << 20, 0, 1);
+  callee_fn.I64Const(2000).I64Const(0xca11ee).Emit(Op::kStore64);
+  callee_fn.LocalGet(1).Return();
+  Bytes callee = BuildSingle(callee_fn);
+
+  FunctionBuilder caller_fn(0, 0);
+  caller_fn.I64Const(1000).I64Const(0xca11e4).Emit(Op::kStore64);
+  caller_fn.I64Const(0).I64Const(0).I64Const(0).I64Const(0).I64Const(0).I64Const(0);
+  caller_fn.CallHost(kHostCall).Emit(Op::kDrop);
+  caller_fn.I64Const(2000).Emit(Op::kLoad64).Return();
+
+  MapHostEnv env;
+  uint64_t callee_saw = ~uint64_t(0);
+  env.call_hook = [&](ByteView, ByteView) -> Result<Bytes> {
+    MapHostEnv callee_env;
+    CONFIDE_ASSIGN_OR_RETURN(ExecutionResult r,
+                             ExecuteWire(&vm, callee, "main", {}, &callee_env, UnfusedConfig()));
+    callee_saw = r.return_value;
+    return Bytes{};
+  };
+  auto result = ExecuteWire(&vm, BuildSingle(caller_fn), "main", {}, &env, UnfusedConfig());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(callee_saw, 0u) << "callee read its caller's writes";
+  EXPECT_EQ(result->return_value, 0u) << "caller read its callee's writes";
+  // A nested call that traps leaves nothing behind either.
+  env.call_hook = [&](ByteView, ByteView) -> Result<Bytes> {
+    FunctionBuilder trap_fn(0, 0);
+    EmitDirtyingWrites(&trap_fn);
+    trap_fn.Emit(Op::kUnreachable);
+    MapHostEnv callee_env;
+    return ExecuteWire(&vm, BuildSingle(trap_fn), "main", {}, &callee_env, UnfusedConfig())
+        .status();
+  };
+  EXPECT_TRUE(ExecuteWire(&vm, BuildSingle(caller_fn), "main", {}, &env, UnfusedConfig())
+                  .status()
+                  .IsVmTrap());
+  EXPECT_EQ(ScanAfter(&vm), 0u);
+}
+
+TEST(CvmIsolationTest, ModulesOfOtherSizesAndSegmentsSeeZeros) {
+  CvmVm vm;
+  MapHostEnv env;
+  // A 2 MiB module that only carries a data segment high in its memory.
+  FunctionBuilder ret0(0, 0);
+  ret0.I64Const(0).Return();
+  ModuleBuilder big;
+  big.Export("main", *big.AddFunction(ret0));
+  big.SetMemoryBytes(2 << 20);
+  big.AddData(3 << 19, ToBytes(std::string_view("segment of the 2 MiB module")));
+  ASSERT_TRUE(ExecuteWire(&vm, EncodeModule(big.Finish()), "main", {}, &env, UnfusedConfig())
+                  .ok());
+  // A 64 KiB module with its own segment sees only that segment.
+  auto small = ExecuteWire(&vm, ScanModule(64 << 10, ToBytes(std::string_view("small"))),
+                          "main", {}, &env, UnfusedConfig());
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small->return_value, 0u);
+  // A 2 MiB reader sees neither module's segment.
+  EXPECT_EQ(ScanAfter(&vm, 2 << 20), 0u);
+
+  // Nor the last word of a 2 MiB memory.
+  FunctionBuilder top(0, 0);
+  top.I64Const((2 << 20) - 8).I64Const(-1).Emit(Op::kStore64);
+  top.I64Const(0).Return();
+  ModuleBuilder top_module;
+  top_module.Export("main", *top_module.AddFunction(top));
+  top_module.SetMemoryBytes(2 << 20);
+  ASSERT_TRUE(ExecuteWire(&vm, EncodeModule(top_module.Finish()), "main", {}, &env,
+                         UnfusedConfig())
+                  .ok());
+  EXPECT_EQ(ScanAfter(&vm, 2 << 20), 0u);
+}
+
+TEST(CvmIsolationTest, ReuseRezeroesOnlyTheWrittenSpan) {
+  metrics::Counter* zeroed = metrics::GetCounter("vm.cvm.memory.zeroed_bytes");
+  CvmVm vm;
+  MapHostEnv env;
+  FunctionBuilder idle(0, 0);
+  idle.I64Const(0).Return();
+  uint64_t before = zeroed->Value();
+  ASSERT_TRUE(ExecuteWire(&vm, BuildSingle(idle), "main", {}, &env, UnfusedConfig()).ok());
+  EXPECT_EQ(zeroed->Value() - before, 0u);
+
+  FunctionBuilder writes(0, 0);
+  EmitDirtyingWrites(&writes);  // lowest byte 1000, highest 9299
+  writes.I64Const(0).Return();
+  before = zeroed->Value();
+  ASSERT_TRUE(ExecuteWire(&vm, BuildSingle(writes), "main", {}, &env, UnfusedConfig()).ok());
+  EXPECT_EQ(zeroed->Value() - before, 9300u - 1000u);
+}
+
+// Property sweep: fusion on/off x fresh/reused pooled memory must agree
+// for a family of loop programs.
 class CvmConfigSweep : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
 
 TEST_P(CvmConfigSweep, LoopResultStableAcrossConfigs) {
-  auto [fusion, cache] = GetParam();
+  auto [fusion, repeat] = GetParam();
   for (int64_t n : {1, 17, 255}) {
     FunctionBuilder fb(0, 2);
     auto loop = fb.NewLabel();
@@ -414,10 +707,11 @@ TEST_P(CvmConfigSweep, LoopResultStableAcrossConfigs) {
     CvmVm vm;
     ExecConfig config;
     config.enable_fusion = fusion;
-    config.enable_code_cache = cache;
-    auto result = vm.Execute(BuildSingle(fb), "main", {}, &env, config);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->return_value, uint64_t(3 * n));
+    for (int run = 0; run < (repeat ? 2 : 1); ++run) {
+      auto result = ExecuteWire(&vm, BuildSingle(fb), "main", {}, &env, config);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->return_value, uint64_t(3 * n));
+    }
   }
 }
 

@@ -26,7 +26,7 @@ Result<RunOutcome> RunOnCvm(std::string_view source, std::string_view entry,
   vm::cvm::CvmVm vm;
   vm::ExecConfig config;
   CONFIDE_ASSIGN_OR_RETURN(vm::ExecutionResult result,
-                           vm.Execute(module, entry, input, env, config));
+                           testutil::ExecuteWire(&vm, module, entry, input, env, config));
   return RunOutcome{result.return_value, result.output, env->storage, env->logs};
 }
 

@@ -28,6 +28,7 @@
 #include "net/config.h"
 #include "net/frame.h"
 #include "net/frame_client.h"
+#include "tests/test_util.h"
 #include "net/http.h"
 #include "net/sim_transport.h"
 #include "net/tcp_transport.h"
@@ -787,7 +788,7 @@ TEST_F(TcpPairTest, ConcurrentClientsGetTheirOwnReplies) {
       auto client = FrameClient::Dial(peers_[0]);
       ASSERT_TRUE(client.ok());
       for (int i = 0; i < kCalls; ++i) {
-        const Bytes nonce = Body("w" + std::to_string(w) + ":" + std::to_string(i));
+        const Bytes nonce = Body(testutil::Numbered("w", w) + ":" + std::to_string(i));
         auto reply = client->Call(MsgType::kQueryStatus, nonce);
         if (!reply.ok() || reply->body != nonce) ++mismatches;
       }

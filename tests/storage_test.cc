@@ -21,6 +21,7 @@
 #include "storage/memtable.h"
 #include "storage/sstable.h"
 #include "storage/wal.h"
+#include "tests/test_util.h"
 
 namespace confide::storage {
 namespace {
@@ -71,7 +72,7 @@ TEST(MemTableTest, ForEachVisitsInKeyOrder) {
   MemTable mem;
   crypto::Drbg rng(3);
   for (int i = 0; i < 500; ++i) {
-    mem.Put("key-" + std::to_string(rng.NextBounded(1000)),
+    mem.Put(testutil::Numbered("key-", rng.NextBounded(1000)),
             ToBytes(std::string_view("v")));
   }
   std::string prev;
@@ -224,7 +225,7 @@ TEST_F(WalTest, MidFileCorruptionIsNotMistakenForTornTail) {
       ASSERT_TRUE((*wal)->Sync().ok());
       offsets.push_back(std::filesystem::file_size(path_));
       WriteBatch b;
-      b.Put("key" + std::to_string(i), ToBytes(std::string_view("value")));
+      b.Put(testutil::Numbered("key", i), ToBytes(std::string_view("value")));
       ASSERT_TRUE((*wal)->Append(b).ok());
     }
     ASSERT_TRUE((*wal)->Sync().ok());
@@ -371,11 +372,11 @@ TEST(LsmStoreTest, WriteBatchAtomicView) {
   ASSERT_TRUE(store.ok());
   WriteBatch batch;
   for (int i = 0; i < 100; ++i) {
-    batch.Put("key-" + std::to_string(i), ToBytes(std::to_string(i * 10)));
+    batch.Put(testutil::Numbered("key-", i), ToBytes(std::to_string(i * 10)));
   }
   ASSERT_TRUE((*store)->Write(batch).ok());
   for (int i = 0; i < 100; ++i) {
-    auto got = (*store)->Get("key-" + std::to_string(i));
+    auto got = (*store)->Get(testutil::Numbered("key-", i));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(ToString(*got), std::to_string(i * 10));
   }
@@ -385,12 +386,12 @@ TEST(LsmStoreTest, FlushMovesDataToRunsAndLookupsStillWork) {
   auto store = LsmKvStore::Open(VolatileOptions());
   ASSERT_TRUE(store.ok());
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE((*store)->Put("k" + std::to_string(i), ToBytes(std::to_string(i))).ok());
+    ASSERT_TRUE((*store)->Put(testutil::Numbered("k", i), ToBytes(std::to_string(i))).ok());
   }
   ASSERT_TRUE((*store)->Flush().ok());
   EXPECT_EQ((*store)->RunCount(), 1u);
   for (int i = 0; i < 50; ++i) {
-    auto got = (*store)->Get("k" + std::to_string(i));
+    auto got = (*store)->Get(testutil::Numbered("k", i));
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(ToString(*got), std::to_string(i));
   }
@@ -417,7 +418,7 @@ TEST(LsmStoreTest, CompactionMergesRunsAndDropsTombstones) {
   ASSERT_TRUE(store.ok());
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 10; ++i) {
-      std::string key = "k" + std::to_string(i);
+      std::string key = testutil::Numbered("k", i);
       if (round == 3 && i < 5) {
         ASSERT_TRUE((*store)->Delete(key).ok());
       } else {
@@ -428,7 +429,7 @@ TEST(LsmStoreTest, CompactionMergesRunsAndDropsTombstones) {
   }
   EXPECT_LE((*store)->RunCount(), 2u);
   for (int i = 0; i < 10; ++i) {
-    auto got = (*store)->Get("k" + std::to_string(i));
+    auto got = (*store)->Get(testutil::Numbered("k", i));
     if (i < 5) {
       EXPECT_TRUE(got.status().IsNotFound()) << i;
     } else {
@@ -518,7 +519,7 @@ TEST(LsmStoreTest, RandomizedAgainstReferenceMap) {
   std::map<std::string, Bytes> reference;
   crypto::Drbg rng(77);
   for (int i = 0; i < 3000; ++i) {
-    std::string key = "k" + std::to_string(rng.NextBounded(200));
+    std::string key = testutil::Numbered("k", rng.NextBounded(200));
     if (rng.NextBounded(4) == 0) {
       ASSERT_TRUE((*store)->Delete(key).ok());
       reference.erase(key);
@@ -535,7 +536,7 @@ TEST(LsmStoreTest, RandomizedAgainstReferenceMap) {
   }
   // And absent keys really are absent.
   for (int i = 200; i < 220; ++i) {
-    EXPECT_TRUE((*store)->Get("k" + std::to_string(i)).status().IsNotFound());
+    EXPECT_TRUE((*store)->Get(testutil::Numbered("k", i)).status().IsNotFound());
   }
 }
 
@@ -545,7 +546,7 @@ TEST(LsmStoreTest, RandomizedAgainstReferenceMap) {
 
 TEST(BloomFilterTest, NoFalseNegatives) {
   std::vector<std::string> keys;
-  for (int i = 0; i < 2000; ++i) keys.push_back("bloom-key-" + std::to_string(i));
+  for (int i = 0; i < 2000; ++i) keys.push_back(testutil::Numbered("bloom-key-", i));
   std::vector<std::string_view> views(keys.begin(), keys.end());
   BloomFilter filter = BloomFilter::Build(views, 10);
   for (const std::string& key : keys) {
@@ -555,13 +556,13 @@ TEST(BloomFilterTest, NoFalseNegatives) {
 
 TEST(BloomFilterTest, FalsePositiveRateWithinBound) {
   std::vector<std::string> keys;
-  for (int i = 0; i < 2000; ++i) keys.push_back("bloom-key-" + std::to_string(i));
+  for (int i = 0; i < 2000; ++i) keys.push_back(testutil::Numbered("bloom-key-", i));
   std::vector<std::string_view> views(keys.begin(), keys.end());
   BloomFilter filter = BloomFilter::Build(views, 10);
   int false_positives = 0;
   constexpr int kProbes = 10000;
   for (int i = 0; i < kProbes; ++i) {
-    if (filter.MayContain("absent-" + std::to_string(i))) ++false_positives;
+    if (filter.MayContain(testutil::Numbered("absent-", i))) ++false_positives;
   }
   // Theoretical FPR at 10 bits/key is ~0.8%; 2% leaves generous margin.
   EXPECT_LT(false_positives, kProbes / 50)
@@ -622,7 +623,7 @@ TEST(RowCacheTest, EvictsLruPastByteBudget) {
   // Each row charges ~64 (overhead) + key + 32 value bytes ≈ 98; ten rows
   // blow the 1024 budget, so the oldest must go.
   for (int i = 0; i < 10; ++i) {
-    cache.Insert("evict-" + std::to_string(i), Bytes(32));
+    cache.Insert(testutil::Numbered("evict-", i), Bytes(32));
   }
   EXPECT_LE(cache.bytes(), 1024u);
   EXPECT_EQ(cache.Get("evict-0"), nullptr);                // evicted
@@ -667,7 +668,7 @@ TEST(RowCacheTest, BudgetResolutionPrecedence) {
 void FillRuns(LsmKvStore* store, int keys_per_run, int runs) {
   for (int r = 0; r < runs; ++r) {
     for (int i = 0; i < keys_per_run; ++i) {
-      std::string key = "run" + std::to_string(r) + "-key" + std::to_string(i);
+      std::string key = testutil::Numbered("run", r) + testutil::Numbered("-key", i);
       ASSERT_TRUE(store->Put(key, ToBytes(std::string_view("v"))).ok());
     }
     ASSERT_TRUE(store->Flush().ok());
@@ -686,7 +687,7 @@ TEST(LsmReadPathTest, BloomSkipsRunsForAbsentKeys) {
   auto before = metrics::MetricsRegistry::Global().Snapshot();
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(
-        (*store)->Get("nope-" + std::to_string(i)).status().IsNotFound());
+        (*store)->Get(testutil::Numbered("nope-", i)).status().IsNotFound());
   }
   auto after = metrics::MetricsRegistry::Global().Snapshot();
   uint64_t negatives = after.counter("storage.bloom.negatives") -
@@ -712,7 +713,7 @@ TEST(LsmReadPathTest, DisabledBloomProbesEveryRun) {
   auto before = metrics::MetricsRegistry::Global().Snapshot();
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(
-        (*store)->Get("nope-" + std::to_string(i)).status().IsNotFound());
+        (*store)->Get(testutil::Numbered("nope-", i)).status().IsNotFound());
   }
   auto after = metrics::MetricsRegistry::Global().Snapshot();
   // Memtable + all 4 runs for each of the 100 reads.
@@ -878,7 +879,7 @@ TEST(LsmReadPathTest, SnapshotSurvivesFlushAndCompaction) {
   // Churn enough to flush several runs and compact them away.
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE((*store)
-                    ->Put("churn-" + std::to_string(i), Bytes(32))
+                    ->Put(testutil::Numbered("churn-", i), Bytes(32))
                     .ok());
   }
   ASSERT_TRUE((*store)->Delete("stable").ok());
@@ -903,7 +904,7 @@ TEST(LsmReadPathTest, BackgroundCompactionOnPoolKeepsDataIntact) {
   std::map<std::string, Bytes> reference;
   crypto::Drbg rng(99);
   for (int i = 0; i < 2000; ++i) {
-    std::string key = "bg" + std::to_string(rng.NextBounded(300));
+    std::string key = testutil::Numbered("bg", rng.NextBounded(300));
     if (rng.NextBounded(5) == 0) {
       ASSERT_TRUE((*store)->Delete(key).ok());
       reference.erase(key);
@@ -921,7 +922,7 @@ TEST(LsmReadPathTest, BackgroundCompactionOnPoolKeepsDataIntact) {
     EXPECT_EQ(*got, value);
   }
   for (int i = 300; i < 320; ++i) {
-    EXPECT_TRUE((*store)->Get("bg" + std::to_string(i)).status().IsNotFound());
+    EXPECT_TRUE((*store)->Get(testutil::Numbered("bg", i)).status().IsNotFound());
   }
 }
 
@@ -940,7 +941,7 @@ TEST(LsmReadPathTest, FlushesDuringBackgroundMergeAreCompactedBeforeIdle) {
   options.compaction_merge_hook = [&] {
     if (merges.fetch_add(1) != 0) return;
     for (int i = 0; i < 4; ++i) {
-      ASSERT_TRUE(raw->Put("mid" + std::to_string(i), ToBytes(std::string_view("m"))).ok());
+      ASSERT_TRUE(raw->Put(testutil::Numbered("mid", i), ToBytes(std::string_view("m"))).ok());
       ASSERT_TRUE(raw->Flush().ok());
     }
   };
@@ -948,15 +949,15 @@ TEST(LsmReadPathTest, FlushesDuringBackgroundMergeAreCompactedBeforeIdle) {
   ASSERT_TRUE(store.ok());
   raw = store->get();
   for (int i = 0; i < 4; ++i) {  // the fourth run schedules the merge
-    ASSERT_TRUE((*store)->Put("pre" + std::to_string(i), ToBytes(std::string_view("p"))).ok());
+    ASSERT_TRUE((*store)->Put(testutil::Numbered("pre", i), ToBytes(std::string_view("p"))).ok());
     ASSERT_TRUE((*store)->Flush().ok());
   }
   (*store)->WaitForCompaction();
   EXPECT_GE(merges.load(), 2);
   EXPECT_LE((*store)->RunCount(), options.max_runs);
   for (int i = 0; i < 4; ++i) {
-    auto pre = (*store)->Get("pre" + std::to_string(i));
-    auto mid = (*store)->Get("mid" + std::to_string(i));
+    auto pre = (*store)->Get(testutil::Numbered("pre", i));
+    auto mid = (*store)->Get(testutil::Numbered("mid", i));
     ASSERT_TRUE(pre.ok() && mid.ok());
     EXPECT_EQ(ToString(*pre), "p");
     EXPECT_EQ(ToString(*mid), "m");
@@ -1051,7 +1052,7 @@ TEST_P(CompactionCrashTest, KilledCompactionLosesNothingOnReopen) {
     plan.Arm(GetParam(), fault::Trigger{});
     crypto::Drbg rng(31);
     for (int i = 0; i < 400; ++i) {
-      std::string key = "cc" + std::to_string(rng.NextBounded(120));
+      std::string key = testutil::Numbered("cc", rng.NextBounded(120));
       if (rng.NextBounded(4) == 0) {
         ASSERT_TRUE((*store)->Delete(key).ok());
         reference.erase(key);
@@ -1081,7 +1082,7 @@ TEST_P(CompactionCrashTest, KilledCompactionLosesNothingOnReopen) {
       EXPECT_EQ(*got, value) << key;
     }
     for (int i = 0; i < 120; ++i) {
-      std::string key = "cc" + std::to_string(i);
+      std::string key = testutil::Numbered("cc", i);
       if (reference.count(key) == 0) {
         EXPECT_TRUE((*store)->Get(key).status().IsNotFound())
             << key << " resurrected";
